@@ -6,7 +6,6 @@ prints one line per separation.  Defaults are sized to finish in about a
 minute; raise --n-samples for tighter error bars.
 """
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -38,7 +37,7 @@ def main():
                           positions=(0.0, dx), t_list=tuple(args.t_list),
                           n_samples=args.n_samples, seed=args.seed + i)
         fit = fit_decoherence_rate(coherence_mc(params))
-        predicted = gp.lambda_grw * (1.0 - math.exp(-0.25 * gp.alpha * dx * dx))
+        predicted = gp.rate(dx)
         rows.append((dx, fit.rate, fit.stderr, predicted))
         print(f"dx = {dx:6.2f}  rate = {fit.rate:.4e} +/- {fit.stderr:.1e}"
               f"  predicted = {predicted:.4e}")

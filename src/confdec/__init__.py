@@ -13,11 +13,9 @@ from .bounds import (CosmoSourceParams, CutoffModel, ExperimentParams,
                      cosmological_feasibility, integrated_zero_point_density,
                      lambda_bound, mode_density, predicted_contrast_loss,
                      zero_point_energy_density)
-from .core import (NATURAL, SI, PhysicalConstants, UnitSystem,
-                   conformal_factor, newtonian_potential)
+from .core import NATURAL, SI, PhysicalConstants
 from .errors import (ConfdecError, EvenOrderRejected, FitDegenerate,
-                     IndefiniteCovariance, InsufficientSamples,
-                     InvalidDimension, NonPhysicalMetric, OutOfRange,
+                     IndefiniteCovariance, InsufficientSamples, OutOfRange,
                      QuadratureFailure, ResolutionError, StepTooLarge,
                      SubPlanckCutoff, UndersampledSignal)
 from .field import (CorrelationEstimate, CorrelationModel, FieldGrid,
@@ -34,12 +32,11 @@ from .montecarlo import (CoherenceEstimate, CoherenceRecord, McParams, RateFit,
 
 __all__ = [
     "__version__",
-    "ConfdecError", "InvalidDimension", "NonPhysicalMetric", "ResolutionError",
+    "ConfdecError", "ResolutionError",
     "IndefiniteCovariance", "OutOfRange", "EvenOrderRejected",
     "InsufficientSamples", "UndersampledSignal", "FitDegenerate",
     "QuadratureFailure", "StepTooLarge", "SubPlanckCutoff",
-    "PhysicalConstants", "UnitSystem", "SI", "NATURAL",
-    "conformal_factor", "newtonian_potential",
+    "PhysicalConstants", "SI", "NATURAL",
     "CorrelationModel", "FieldGrid", "FieldRealization", "CorrelationEstimate",
     "sample_field", "field_at", "estimate_g1", "estimate_g2",
     "odd_moment_check",

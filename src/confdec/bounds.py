@@ -19,6 +19,7 @@ from scipy.integrate import quad
 
 from .core import SI, PhysicalConstants
 from .errors import QuadratureFailure, SubPlanckCutoff
+from .master import grw_params
 
 
 @dataclass(frozen=True)
@@ -150,48 +151,43 @@ class CosmoSourceParams:
                                    self.correlation_time, constants)
 
 
-def _loss(mass_kg: float, a0: float, tau: float, flight_time: float,
-          separation: float | None, constants: PhysicalConstants) -> float:
-    c, hbar = constants.c, constants.hbar
-    loss = (math.sqrt(math.pi / 2.0) * mass_kg**2 * c**4 * a0**4 * tau
-            * flight_time / hbar**2)
-    if separation is not None:
-        xi = separation / (c * tau)
-        loss *= 1.0 - math.exp(-2.0 * xi * xi)
-    return loss
+def _kernel_separation(experiment: ExperimentParams) -> float:
+    """The experiment's separation; ``inf`` (saturated kernel) when none is given."""
+    return math.inf if experiment.separation is None else experiment.separation
 
 
 def predicted_contrast_loss(experiment: ExperimentParams, model: CutoffModel,
                             constants: PhysicalConstants = SI) -> float:
     """Fractional contrast loss the cutoff model predicts for the experiment.
 
-    ``sqrt(pi/2) M^2 c^4 a0^4 tau T / hbar^2``, multiplied by the kernel
-    factor ``1 - exp(-2 (dx / c tau)^2)`` when a separation is supplied.
-    Scales as the fourth power of the amplitude and linearly in both the
-    correlation time and the flight time.
+    The localization rate at the experiment's separation times the flight
+    time, ``grw_params(M, a0, tau).rate(dx) * T``; without a separation the
+    kernel is saturated and the rate is ``lambda_grw``.  Scales as the
+    fourth power of the amplitude and linearly in both the correlation time
+    and the flight time.
     """
-    mass_kg = experiment.mass_amu * constants.amu
-    return _loss(mass_kg, model.a0, model.tau, experiment.flight_time,
-                 experiment.separation, constants)
+    gp = grw_params(experiment.mass_amu * constants.amu, model.a0, model.tau,
+                    constants)
+    return gp.rate(_kernel_separation(experiment)) * experiment.flight_time
 
 
 def lambda_bound(experiment: ExperimentParams,
                  constants: PhysicalConstants = SI) -> float:
     """Smallest cutoff compatible with the observed contrast loss.
 
-    Setting the predicted loss equal to the observed one and inverting the
-    ``lambda_cut**-7`` dependence gives
+    With ``a0 = lambda_cut**-2`` and ``tau = lambda_cut t_p`` the saturated
+    loss is ``lambda_grw(a0=1, tau=t_p) T / lambda_cut**7``; setting it equal
+    to the observed loss ``delta`` and inverting gives
 
         lambda_cut >= (sqrt(pi/2) M^2 c^4 t_p T / (hbar^2 delta)) ** (1/7).
 
     Inverse of ``predicted_contrast_loss`` over the saturated-kernel regime:
     feeding a predicted loss back in recovers the cutoff exactly.
     """
-    mass_kg = experiment.mass_amu * constants.amu
-    base = (math.sqrt(math.pi / 2.0) * mass_kg**2 * constants.c**4
-            * constants.t_planck * experiment.flight_time
-            / (constants.hbar**2 * experiment.contrast_loss))
-    return base ** (1.0 / 7.0)
+    gp = grw_params(experiment.mass_amu * constants.amu, 1.0, constants.t_planck,
+                    constants)
+    return (gp.lambda_grw * experiment.flight_time
+            / experiment.contrast_loss) ** (1.0 / 7.0)
 
 
 def cosmological_feasibility(source: CosmoSourceParams,
@@ -201,12 +197,14 @@ def cosmological_feasibility(source: CosmoSourceParams,
 
     Uses the source's resolved amplitude and its correlation time; the
     result is astronomically small because of the fourth power of the
-    amplitude.
+    amplitude, and exactly zero for a zero amplitude.
     """
-    mass_kg = experiment.mass_amu * constants.amu
-    return _loss(mass_kg, source.resolved_amplitude(constants),
-                 source.correlation_time, experiment.flight_time,
-                 experiment.separation, constants)
+    a0 = source.resolved_amplitude(constants)
+    if a0 == 0.0:
+        return 0.0
+    gp = grw_params(experiment.mass_amu * constants.amu, a0,
+                    source.correlation_time, constants)
+    return gp.rate(_kernel_separation(experiment)) * experiment.flight_time
 
 
 def bound_report(experiment: ExperimentParams,

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, io
 from .bounds import (CosmoSourceParams, ExperimentParams, bound_report,
                      lambda_bound)
-from .core import NATURAL, SI, UnitSystem
+from .core import NATURAL, SI
 from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .field import (CorrelationModel, FieldGrid, estimate_g1, estimate_g2,
                     odd_moment_check, sample_field)
@@ -108,6 +108,15 @@ BOUND_SPECS = [
 ]
 
 
+# units mode -> (constants, time label, length label)
+UNITS = {"natural": (NATURAL, "tau", "c*tau"), "si": (SI, "s", "m")}
+
+# the file each command writes its {inputs, constants, results, checks} to
+SUMMARY_FILE = {"field": "summary.json", "mc": "rate.json",
+                "kernel": "summary.json", "evolve": "summary.json",
+                "bound": "report.json"}
+
+
 def _convert(value, typ):
     if value is None:
         return None
@@ -115,8 +124,12 @@ def _convert(value, typ):
         if isinstance(value, (list, tuple)):
             return [float(v) for v in value]
         return [float(x) for x in str(value).split(",") if x.strip()]
-    if typ is int and isinstance(value, str):
-        return int(float(value)) if "." in value else int(value)
+    if typ is int and (isinstance(value, float)
+                       or (isinstance(value, str) and "." in value)):
+        number = float(value)
+        if not number.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(number)
     return typ(value)
 
 
@@ -145,23 +158,9 @@ def _resolve(args, config: dict, specs) -> dict:
         if value is None:
             value = config.get(name, default)
         params[name] = _convert(value, typ)
-    if params.get("units") not in (None, "natural", "si"):
+    if params.get("units") not in (None, *UNITS):
         raise ValueError(f"units must be 'natural' or 'si', got {params['units']!r}")
     return params
-
-
-def _constants(params):
-    return NATURAL if params.get("units", "natural") == "natural" else SI
-
-
-def _unit_system(params):
-    return UnitSystem(mode=params.get("units", "natural"), tau_si=1.0)
-
-
-def _constants_dict(constants):
-    return {"c": constants.c, "hbar": constants.hbar, "G": constants.G,
-            "amu": constants.amu, "t_planck": constants.t_planck,
-            "l_planck": constants.l_planck}
 
 
 def _outdir(params) -> Path:
@@ -170,11 +169,32 @@ def _outdir(params) -> Path:
     return out
 
 
-def _write_manifest(outdir: Path, command: str, params: dict, outputs):
-    record = {k: v for k, v in params.items() if k != "out"}
-    io.write_json(outdir / "manifest.json",
+def _summary(params, constants, results, checks) -> dict:
+    return {"inputs": {k: v for k, v in params.items() if k != "out"},
+            "constants": {"c": constants.c, "hbar": constants.hbar,
+                          "G": constants.G, "amu": constants.amu,
+                          "t_planck": constants.t_planck,
+                          "l_planck": constants.l_planck},
+            "results": results, "checks": checks}
+
+
+def _finish(command, params, out: Path, outputs, summary, failure=None) -> int:
+    """Write the command's summary file and ``manifest.json``; return the exit code.
+
+    ``outputs`` are the data files the command already wrote.  With a
+    ``failure`` message, a false check prints it and exits 3; without one
+    the checks are reported but do not set the exit code.
+    """
+    name = SUMMARY_FILE[command]
+    io.write_json(out / name, summary)
+    io.write_json(out / "manifest.json",
                   {"command": command, "version": __version__,
-                   "params": record, "outputs": sorted(outputs)})
+                   "params": {k: v for k, v in params.items() if k != "out"},
+                   "outputs": sorted([*outputs, name])})
+    if failure is not None and not all(summary["checks"].values()):
+        print(f"{command}: {failure}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _correlation_model(params) -> CorrelationModel:
@@ -186,7 +206,7 @@ def _correlation_model(params) -> CorrelationModel:
 
 
 def cmd_field(params) -> int:
-    units = _unit_system(params)
+    constants, tlab, _ = UNITS[params["units"]]
     model = _correlation_model(params)
     dt = params["dt"] if params["dt"] is not None else model.tau / 8.0
     max_lag = (params["max_lag"] if params["max_lag"] is not None
@@ -197,7 +217,6 @@ def cmd_field(params) -> int:
     g2 = estimate_g2(realization, max_lag)
     moments = odd_moment_check(realization)
 
-    tlab = units.label("time")
     out = _outdir(params)
     io.realization_to_csv(realization, out / "realization.csv", tlab)
     io.correlation_to_csv(g1, out / "g1.csv", tlab)
@@ -223,75 +242,53 @@ def cmd_field(params) -> int:
     for order, est, err in moments:
         checks[f"odd_moment_{order}"] = bool(abs(est) <= 4.0 * err)
 
-    summary = {
-        "inputs": {k: v for k, v in params.items() if k != "out"},
-        "constants": _constants_dict(units.constants),
-        "results": {
-            "n_steps": grid.n_steps,
-            "duration": grid.duration,
-            "sample_mean_plus": float(realization.xi_plus.mean()),
-            "sample_mean_minus": float(realization.xi_minus.mean()),
-            "sample_var_plus": float(realization.xi_plus.var()),
-            "sample_var_minus": float(realization.xi_minus.var()),
-        },
-        "checks": checks,
+    results = {
+        "n_steps": grid.n_steps,
+        "duration": grid.duration,
+        "sample_mean_plus": float(realization.xi_plus.mean()),
+        "sample_mean_minus": float(realization.xi_minus.mean()),
+        "sample_var_plus": float(realization.xi_plus.var()),
+        "sample_var_minus": float(realization.xi_minus.var()),
     }
-    io.write_json(out / "summary.json", summary)
-    _write_manifest(out, "field", params,
-                    ["realization.csv", "g1.csv", "g2.csv", "moments.csv",
-                     "summary.json"])
-    if not all(checks.values()):
-        print("field: statistical checks failed", file=sys.stderr)
-        return 3
-    return 0
+    return _finish("field", params, out,
+                   ["realization.csv", "g1.csv", "g2.csv", "moments.csv"],
+                   _summary(params, constants, results, checks),
+                   "statistical checks failed")
 
 
 def cmd_mc(params) -> int:
-    constants = _constants(params)
-    units = _unit_system(params)
+    constants, tlab, xlab = UNITS[params["units"]]
     mc = McParams(a0=params["a0"], mass=params["mass"], tau=params["tau"],
                   positions=(0.0, params["dx"]), t_list=tuple(params["t_list"]),
                   n_samples=params["n_samples"], seed=params["seed"],
                   dt=params["dt"], constants=constants)
     estimate = coherence_mc(mc)
     out = _outdir(params)
-    io.coherence_to_csv(estimate, out / "coherence.csv",
-                        units.label("length"), units.label("time"))
-    outputs = ["coherence.csv", "rate.json"]
-    _write_manifest(out, "mc", params, outputs)
+    io.coherence_to_csv(estimate, out / "coherence.csv", xlab, tlab)
 
     gp = grw_params(params["mass"], params["a0"], params["tau"], constants)
-    dx = mc.delta_x
-    predicted = gp.lambda_grw * (1.0 - math.exp(-0.25 * gp.alpha * dx * dx))
+    predicted = gp.rate(mc.delta_x)
     last = max(estimate.records, key=lambda r: r.t)
     undersampled = abs(last.mean) <= 5.0 * last.stderr
-    report = {
-        "inputs": {k: v for k, v in params.items() if k != "out"},
-        "constants": _constants_dict(constants),
-        "results": {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
-                    "predicted_rate": predicted},
-        "checks": {"signal_above_noise": bool(not undersampled)},
-    }
+    results = {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
+               "predicted_rate": predicted}
+    checks = {"signal_above_noise": bool(not undersampled)}
     if undersampled:
-        io.write_json(out / "rate.json", report)
-        print("mc: coherence at largest T is within 5 stderr of zero",
-              file=sys.stderr)
-        return 3
+        return _finish("mc", params, out, ["coherence.csv"],
+                       _summary(params, constants, results, checks),
+                       "coherence at largest T is within 5 stderr of zero")
     fit = fit_decoherence_rate(estimate)
-    report["results"].update(rate=fit.rate, rate_stderr=fit.stderr,
-                             intercept=fit.intercept,
-                             ratio_to_predicted=(fit.rate / predicted
-                                                 if predicted > 0 else None))
+    results.update(rate=fit.rate, rate_stderr=fit.stderr, intercept=fit.intercept,
+                   ratio_to_predicted=(fit.rate / predicted if predicted > 0 else None))
     if predicted > 0:
-        report["checks"]["rate_within_3_stderr"] = bool(
+        checks["rate_within_3_stderr"] = bool(
             abs(fit.rate - predicted) <= 3.0 * max(fit.stderr, 1e-300))
-    io.write_json(out / "rate.json", report)
-    return 0
+    return _finish("mc", params, out, ["coherence.csv"],
+                   _summary(params, constants, results, checks))
 
 
 def cmd_kernel(params) -> int:
-    constants = _constants(params)
-    units = _unit_system(params)
+    constants, tlab, xlab = UNITS[params["units"]]
     model = _correlation_model(params)
     gp = grw_params(params["mass"], params["a0"], model.tau, constants)
     out = _outdir(params)
@@ -299,8 +296,7 @@ def cmd_kernel(params) -> int:
     rows = [(dx, t, decoherence_factor(dx, t, gp))
             for dx in params["dx_list"] for t in params["t_list"]]
     io.write_csv(out / "factors.csv",
-                 [f"delta_x[{units.label('length')}]",
-                  f"t[{units.label('time')}]", "factor[1]"], rows)
+                 [f"delta_x[{xlab}]", f"t[{tlab}]", "factor[1]"], rows)
 
     comparison = []
     checks = {}
@@ -324,40 +320,31 @@ def cmd_kernel(params) -> int:
                 else:
                     checks[key] = bool(abs(rel) <= model.tau / t_total)
     io.write_csv(out / "comparison.csv",
-                 [f"delta_x[{units.label('length')}]",
-                  f"T[{units.label('time')}]", "general_kernel[1]",
+                 [f"delta_x[{xlab}]", f"T[{tlab}]", "general_kernel[1]",
                   "gaussian_closed_form[1]", "rel_deviation[1]"], comparison)
 
-    summary = {
-        "inputs": {k: v for k, v in params.items() if k != "out"},
-        "constants": _constants_dict(constants),
-        "results": {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
-                    "correlation_kind": model.kind},
-        "checks": checks,
-    }
-    io.write_json(out / "summary.json", summary)
-    _write_manifest(out, "kernel", params,
-                    ["factors.csv", "comparison.csv", "summary.json"])
-    if not all(checks.values()):
-        print("kernel: closed-form agreement checks failed", file=sys.stderr)
-        return 3
-    return 0
+    results = {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
+               "correlation_kind": model.kind}
+    return _finish("kernel", params, out, ["factors.csv", "comparison.csv"],
+                   _summary(params, constants, results, checks),
+                   "closed-form agreement checks failed")
 
 
 def cmd_evolve(params) -> int:
     if not params.get("input"):
         raise ValueError("evolve requires --input (density matrix .json or .csv)")
-    constants = _constants(params)
-    units = _unit_system(params)
+    constants, _, xlab = UNITS[params["units"]]
     path = Path(params["input"])
     if path.suffix == ".json":
         rho = io.density_matrix_from_json(path)
     else:
         rho = io.density_matrix_from_csv(path)
-    if params["lambda_grw"] is not None and params["alpha"] is not None:
-        gp = GrwParams(lambda_grw=params["lambda_grw"], alpha=params["alpha"])
-    else:
-        gp = grw_params(params["mass"], params["a0"], params["tau"], constants)
+    lam, alpha = params["lambda_grw"], params["alpha"]
+    if lam is None or alpha is None:
+        derived = grw_params(params["mass"], params["a0"], params["tau"], constants)
+        lam = derived.lambda_grw if lam is None else lam
+        alpha = derived.alpha if alpha is None else alpha
+    gp = GrwParams(lambda_grw=lam, alpha=alpha)
 
     if params["kinetic_mass"] is not None:
         if params["dt"] is None or params["n_steps"] is None:
@@ -372,7 +359,7 @@ def cmd_evolve(params) -> int:
 
     out = _outdir(params)
     io.density_matrix_to_json(evolved, out / "evolved.json")
-    io.density_matrix_to_csv(evolved, out / "evolved.csv", units.label("length"))
+    io.density_matrix_to_csv(evolved, out / "evolved.csv", xlab)
     min_eig = evolved.min_eigenvalue()
     herm_dev = float(np.abs(evolved.entries - evolved.entries.conj().T).max())
     checks = {
@@ -380,21 +367,12 @@ def cmd_evolve(params) -> int:
         "positive_semidefinite": bool(min_eig >= -1e-9),
         "hermitian": bool(herm_dev <= 1e-12 * max(np.abs(evolved.entries).max(), 1e-300)),
     }
-    summary = {
-        "inputs": {k: v for k, v in params.items() if k != "out"},
-        "constants": _constants_dict(constants),
-        "results": {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
-                    "t_total": t_total, "trace_in": rho.trace(),
-                    "trace_out": evolved.trace(), "min_eigenvalue": min_eig},
-        "checks": checks,
-    }
-    io.write_json(out / "summary.json", summary)
-    _write_manifest(out, "evolve", params,
-                    ["evolved.json", "evolved.csv", "summary.json"])
-    if not all(checks.values()):
-        print("evolve: invariant checks failed", file=sys.stderr)
-        return 3
-    return 0
+    results = {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
+               "t_total": t_total, "trace_in": rho.trace(),
+               "trace_out": evolved.trace(), "min_eigenvalue": min_eig}
+    return _finish("evolve", params, out, ["evolved.json", "evolved.csv"],
+                   _summary(params, constants, results, checks),
+                   "invariant checks failed")
 
 
 def cmd_bound(params) -> int:
@@ -409,8 +387,7 @@ def cmd_bound(params) -> int:
                           source=source,
                           reference_bound=params["reference_bound"])
     out = _outdir(params)
-    io.write_json(out / "report.json", report)
-    outputs = ["report.json"]
+    outputs = []
 
     masses = params["sweep_mass"] or [params["mass_amu"]]
     times = params["sweep_time"] or [params["flight_time"]]
@@ -426,8 +403,9 @@ def cmd_bound(params) -> int:
                      ["mass[amu]", "flight_time[s]", "contrast_loss[1]",
                       "lambda_bound[1]"], rows)
         outputs.append("sweep.csv")
-    _write_manifest(out, "bound", params, outputs)
-    return 0
+    # the report keeps bound_report's own SI-labelled constants, and its
+    # checks are informational: the exit code is 0 whatever they say
+    return _finish("bound", params, out, outputs, report)
 
 
 COMMANDS = {

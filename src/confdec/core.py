@@ -1,16 +1,13 @@
-"""Physical constants, unit systems, and conformal-metric quantities.
+"""Physical constants in SI (CODATA 2018) and in natural units.
 
-The metric model is a flat background rescaled by a conformal factor
-``f = (1 + A)**(4/(D-2))`` built from a dimensionless amplitude ``A``.
-A slow-moving massive particle in such a metric sees an effective
-Newtonian potential ``V = (M c^2 / 2) (f - 1)``.
+``SI`` serves the bound calculator and the CLI's ``--units si`` mode;
+``NATURAL`` (c = hbar = G = 1) is the tau-based working unit system of the
+sampled-field and Monte Carlo defaults.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import InvalidDimension, NonPhysicalMetric
 
 # CODATA 2018 values (SI)
 _C_SI = 299792458.0
@@ -52,118 +49,3 @@ class PhysicalConstants:
 
 SI = PhysicalConstants.si()
 NATURAL = PhysicalConstants.natural()
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Conversion between SI and tau-based natural units.
-
-    In natural mode the base time unit is the field correlation time
-    ``tau_si`` (seconds); with c = hbar = 1 this fixes the length unit to
-    ``c*tau_si`` and the mass unit to ``hbar/(c^2 tau_si)``.  In SI mode
-    every conversion is the identity.
-
-    Parameters
-    ----------
-    mode : str
-        Either ``"si"`` or ``"natural"``.
-    tau_si : float
-        Correlation time in seconds defining the natural time unit.
-        Required (and must be positive) in natural mode.
-    """
-
-    mode: str = "si"
-    tau_si: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in ("si", "natural"):
-            raise ValueError(f"unknown unit mode {self.mode!r}")
-        if self.tau_si <= 0:
-            raise ValueError("tau_si must be positive")
-
-    @property
-    def constants(self) -> PhysicalConstants:
-        return NATURAL if self.mode == "natural" else SI
-
-    # base conversion factors (multiply a natural-unit value to get SI)
-    @property
-    def _time_unit(self) -> float:
-        return self.tau_si if self.mode == "natural" else 1.0
-
-    @property
-    def _length_unit(self) -> float:
-        return SI.c * self.tau_si if self.mode == "natural" else 1.0
-
-    @property
-    def _mass_unit(self) -> float:
-        if self.mode == "natural":
-            return SI.hbar / (SI.c**2 * self.tau_si)
-        return 1.0
-
-    def time_to_si(self, t):
-        return t * self._time_unit
-
-    def time_from_si(self, t):
-        return t / self._time_unit
-
-    def length_to_si(self, x):
-        return x * self._length_unit
-
-    def length_from_si(self, x):
-        return x / self._length_unit
-
-    def mass_to_si(self, m):
-        return m * self._mass_unit
-
-    def mass_from_si(self, m):
-        return m / self._mass_unit
-
-    def rate_to_si(self, r):
-        """Rates carry inverse time units."""
-        return r / self._time_unit
-
-    def rate_from_si(self, r):
-        return r * self._time_unit
-
-    def label(self, quantity: str) -> str:
-        """Unit label for CSV/report headers, e.g. ``label('time') -> 's'``."""
-        si_labels = {"time": "s", "length": "m", "mass": "kg", "rate": "1/s",
-                     "dimensionless": "1"}
-        nat_labels = {"time": "tau", "length": "c*tau", "mass": "hbar/(c^2*tau)",
-                      "rate": "1/tau", "dimensionless": "1"}
-        table = nat_labels if self.mode == "natural" else si_labels
-        return table[quantity]
-
-
-def conformal_factor(amplitude: float, dimension: int = 4) -> float:
-    """Conformal rescaling ``(1 + A)**(4/(D-2))`` of a flat D-dimensional metric.
-
-    For amplitudes below -1 the base is negative and the factor is only
-    real when the exponent is an integer: D = 3 and D = 4 stay positive,
-    D = 6 flips sign, and every other dimension would give a complex
-    metric and raises ``NonPhysicalMetric``.  At A = -1 the factor is 0
-    and the metric is singular (returned as 0, not an error).
-    """
-    if not isinstance(dimension, (int,)) or isinstance(dimension, bool):
-        raise InvalidDimension(f"dimension must be an integer, got {dimension!r}")
-    if dimension < 3:
-        raise InvalidDimension(f"dimension must be >= 3, got {dimension}")
-    base = 1.0 + amplitude
-    if dimension in (3, 4, 6):
-        # integer exponents 4, 2, 1: well defined for any real amplitude
-        exponent = {3: 4, 4: 2, 6: 1}[dimension]
-        return float(base**exponent)
-    if base < 0.0:
-        raise NonPhysicalMetric(
-            f"amplitude {amplitude} < -1 gives a complex metric in D={dimension}")
-    return float(base ** (4.0 / (dimension - 2)))
-
-
-def newtonian_potential(amplitude: float, mass: float,
-                        constants: PhysicalConstants = SI,
-                        dimension: int = 4) -> float:
-    """Effective potential ``(M c^2 / 2) (f - 1)`` seen by a slow massive particle."""
-    if mass < 0:
-        raise ValueError("mass must be non-negative")
-    f = conformal_factor(amplitude, dimension)
-    return 0.5 * mass * constants.c**2 * (f - 1.0)

@@ -11,14 +11,6 @@ class ConfdecError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidDimension(ConfdecError):
-    """Spacetime dimension outside the supported range (integer D >= 3)."""
-
-
-class NonPhysicalMetric(ConfdecError):
-    """Conformal factor would be complex: amplitude < -1 with D = 5 or D > 6."""
-
-
 class ResolutionError(ConfdecError):
     """Grid step too coarse for the correlation time (dt > tau/8)."""
 
@@ -60,8 +52,6 @@ class SubPlanckCutoff(ConfdecError):
 
 
 VALIDATION_ERRORS = (
-    InvalidDimension,
-    NonPhysicalMetric,
     ResolutionError,
     IndefiniteCovariance,
     OutOfRange,

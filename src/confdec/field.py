@@ -222,16 +222,27 @@ def embedding_spectrum(model: CorrelationModel, grid: FieldGrid):
     return L, amp
 
 
+def _irfft_normals(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Full-length real signals from unit normals ``z`` on the last axis.
+
+    With ``L = z.shape[-1]``, the first ``L//2 + 1`` normals are the real
+    parts of the half-spectrum and the remaining ``L//2 - 1`` the imaginary
+    parts of its interior bins; the spectrum is weighted by ``amp`` and
+    inverted with ``irfft``.  Leading axes are batch axes.
+    """
+    L = z.shape[-1]
+    half = L // 2 + 1
+    spec = np.zeros(z.shape[:-1] + (half,), dtype=complex)
+    spec.real = z[..., :half]
+    spec[..., 1:-1] += 1j * z[..., half:]
+    spec *= amp
+    return np.fft.irfft(spec, n=L, axis=-1)
+
+
 def synthesize_stream(rng: np.random.Generator, L: int, amp: np.ndarray,
                       n_steps: int) -> np.ndarray:
     """Draw one real stream of length ``n_steps`` from the embedding spectrum."""
-    z = rng.standard_normal(L)
-    half = L // 2 + 1
-    spec = np.zeros(half, dtype=complex)
-    spec.real = z[:half]
-    spec[1:-1] += 1j * z[half:]
-    spec *= amp
-    return np.fft.irfft(spec, n=L)[:n_steps].copy()
+    return _irfft_normals(rng.standard_normal(L), amp)[:n_steps].copy()
 
 
 def sample_field(model: CorrelationModel, grid: FieldGrid, seed) -> FieldRealization:

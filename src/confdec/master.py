@@ -50,19 +50,28 @@ class GrwParams:
         if self.lambda_grw < 0 or self.alpha <= 0:
             raise ValueError("lambda_grw must be >= 0 and alpha > 0")
 
+    def rate(self, delta_x):
+        """Localization rate ``lambda_grw (1 - exp(-(alpha/4) dx^2))`` at separation ``delta_x``.
+
+        Zero at zero separation; ``delta_x = math.inf`` gives the saturated
+        rate ``lambda_grw`` exactly.  Scalars in, float out; arrays broadcast.
+        """
+        dx = np.asarray(delta_x, dtype=float)
+        out = self.lambda_grw * (1.0 - np.exp(-0.25 * self.alpha * dx * dx))
+        return float(out) if out.ndim == 0 else out
+
 
 def decoherence_factor(delta_x, t, params: GrwParams):
-    """Exact off-diagonal suppression ``exp(lambda t (exp(-(alpha/4) dx^2) - 1))``.
+    """Exact off-diagonal suppression ``exp(-params.rate(delta_x) t)``.
 
     Monotonically decreasing in both ``|delta_x|`` and ``t``; equals 1 at
     either argument zero and saturates at ``exp(-lambda t)`` for separations
     far beyond the correlation length.
     """
-    dx = np.asarray(delta_x, dtype=float)
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0):
         raise ValueError("t must be non-negative")
-    out = np.exp(params.lambda_grw * tt * (np.exp(-0.25 * params.alpha * dx * dx) - 1.0))
+    out = np.exp(-params.rate(delta_x) * tt)
     return float(out) if out.ndim == 0 else out
 
 
@@ -271,7 +280,6 @@ def general_kernel(g1_model: CorrelationModel, delta_x: float, t_total: float,
 
 def closed_form_kernel(delta_x: float, t_total: float, mass: float, a0: float,
                        tau: float, constants: PhysicalConstants = NATURAL) -> float:
-    """Large-T Gaussian-correlation limit of ``general_kernel``."""
-    lam = grw_params(mass, a0, tau, constants).lambda_grw
-    dxn = delta_x / (constants.c * tau)
-    return lam * t_total * (math.exp(-2.0 * dxn * dxn) - 1.0)
+    """Large-T Gaussian-correlation limit of ``general_kernel``: ``-rate(dx) T``."""
+    # subtracting from 0.0 keeps the zero-separation kernel +0.0, not -0.0
+    return 0.0 - grw_params(mass, a0, tau, constants).rate(delta_x) * t_total

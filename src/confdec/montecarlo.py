@@ -25,7 +25,8 @@ from .core import NATURAL, PhysicalConstants
 from .errors import (FitDegenerate, InsufficientSamples, OutOfRange,
                      UndersampledSignal)
 from .field import (CorrelationModel, FieldGrid, FieldRealization,
-                    _check_resolution, _stream_rng, embedding_spectrum)
+                    _check_resolution, _irfft_normals, _stream_rng,
+                    embedding_spectrum)
 
 _BLOCK = 256            # samples per synthesis batch (fixed for determinism)
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
@@ -197,7 +198,6 @@ def _phase_pair_blocks(params: McParams, t: float, t_index: int):
     """Yield per-block phase arrays ``(phi_x, phi_xp)`` for each sample block."""
     grid, k0, k_t = _mc_grid(params, t)
     L, amp = embedding_spectrum(params.model, grid)
-    half = L // 2 + 1
     n = grid.n_steps
     x_a, x_b = params.positions
     for start in range(0, params.n_samples, _BLOCK):
@@ -207,11 +207,7 @@ def _phase_pair_blocks(params: McParams, t: float, t_index: int):
             entropy = (params.seed, t_index, start + j)
             for stream in (0, 1):
                 _stream_rng(entropy, stream).standard_normal(out=z[stream, j])
-        spec = np.zeros((2, b, half), dtype=complex)
-        spec.real = z[:, :, :half]
-        spec[:, :, 1:-1] += 1j * z[:, :, half:]
-        spec *= amp
-        xi = np.fft.irfft(spec, n=L, axis=2)[:, :, :n]
+        xi = _irfft_normals(z, amp)[:, :, :n]
         yield (_phases_at(xi[0], xi[1], k0, k_t, params, x_a),
                _phases_at(xi[0], xi[1], k0, k_t, params, x_b))
 

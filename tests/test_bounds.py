@@ -11,6 +11,7 @@ from confdec.bounds import (CosmoSourceParams, CutoffModel, ExperimentParams,
                             integrated_zero_point_density, lambda_bound,
                             mode_density, predicted_contrast_loss,
                             zero_point_energy_density)
+from confdec.master import grw_params
 
 CS = ExperimentParams(mass_amu=132.9, flight_time=0.32, contrast_loss=0.03)
 
@@ -106,6 +107,15 @@ class TestLambdaBound:
 
 
 class TestSeparationKernel:
+    @pytest.mark.parametrize("separation", [None, 1e-35, 5e-34, 1e-6])
+    def test_loss_is_grw_rate_times_flight_time(self, separation):
+        exp = ExperimentParams(132.9, 0.32, 0.03, separation=separation)
+        model = build_cutoff_model(30.0)
+        rate = grw_params(132.9 * SI.amu, model.a0, model.tau, SI).rate(
+            math.inf if separation is None else separation)
+        assert predicted_contrast_loss(exp, model) == pytest.approx(
+            rate * 0.32, rel=1e-14)
+
     def test_saturated_when_far(self):
         # c tau at the Cs cutoff is ~5e-34 m, so any lab separation saturates
         model = build_cutoff_model(lambda_bound(CS))
@@ -154,6 +164,9 @@ class TestCosmologicalSource:
         dense = CosmoSourceParams(energy_density_limit=2e-29)
         assert cosmological_feasibility(dense, CS) == pytest.approx(
             16.0 * cosmological_feasibility(CosmoSourceParams(), CS), rel=1e-12)
+
+    def test_zero_amplitude_gives_zero_loss(self):
+        assert cosmological_feasibility(CosmoSourceParams(amplitude=0.0), CS) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,10 @@ from confdec import io
 from confdec.bounds import (CosmoSourceParams, ExperimentParams,
                             cosmological_feasibility)
 from confdec.cli import main
-from confdec.master import gaussian_pure_state, superposed_gaussians
+from confdec.core import NATURAL, SI
+from confdec.master import (GrwParams, evolve_pure_decoherence,
+                            gaussian_pure_state, grw_params,
+                            superposed_gaussians)
 from confdec.montecarlo import CoherenceEstimate, CoherenceRecord
 
 X_GRID = np.linspace(-8.0, 8.0, 41)
@@ -76,6 +79,41 @@ class TestParsing:
         rc = main(["field", "--units", "furlongs", "--out", str(tmp_path)])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("units, time, length, constants, extra", [
+        pytest.param(None, "tau", "c*tau", NATURAL, ["--dx-list", "0,1"],
+                     id="natural"),
+        pytest.param("si", "s", "m", SI, ["--dx-list", "0,1e-9", "--tau", "1e-9",
+                                          "--a0", "1e-5", "--mass", "1e-25"],
+                     id="si"),
+    ])
+    def test_units_set_labels_and_constants(self, tmp_path, units, time, length,
+                                            constants, extra):
+        argv = ["kernel", "--t-list", "0,100", "--compare-t", "100", *extra]
+        if units is not None:
+            argv += ["--units", units]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        header = (tmp_path / "factors.csv").read_text().splitlines()[0]
+        assert header == f"delta_x[{length}],t[{time}],factor[1]"
+        summary = io.read_json(tmp_path / "summary.json")
+        assert summary["constants"] == {
+            "c": constants.c, "hbar": constants.hbar, "G": constants.G,
+            "amu": constants.amu, "t_planck": constants.t_planck,
+            "l_planck": constants.l_planck}
+
+    @pytest.mark.parametrize("value", ["4096.5", "1.5e400"])
+    def test_non_integral_integer_rejected(self, tmp_path, value, capsys):
+        rc = main(["field", "--n-steps", value, "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "manifest.json").exists()
+        capsys.readouterr()
+
+    def test_integral_float_spelling_accepted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n-steps = 4096.0\nseed = 7\n")
+        assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        manifest = io.read_json(tmp_path / "o" / "manifest.json")
+        assert manifest["params"]["n_steps"] == 4096
 
 
 class TestFieldCommand:
@@ -170,6 +208,24 @@ class TestEvolveCommand:
         assert np.allclose(va.entries, vb.entries, rtol=1e-12, atol=0)
         assert np.allclose(va.x_grid, vb.x_grid, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("flag, value", [("--lambda-grw", 0.5), ("--alpha", 2.0)])
+    def test_single_rate_override(self, tmp_path, flag, value):
+        rho = superposed_gaussians(X_GRID, sigma=1.0, separation=4.0)
+        src = tmp_path / "rho.json"
+        io.density_matrix_to_json(rho, src)
+        out = tmp_path / "o"
+        assert main(["evolve", "--input", str(src), flag, str(value),
+                     "--out", str(out)]) == 0
+        derived = grw_params(1.0, 0.1, 1.0)
+        lam, alpha = ((value, derived.alpha) if flag == "--lambda-grw"
+                      else (derived.lambda_grw, value))
+        results = io.read_json(out / "summary.json")["results"]
+        assert (results["lambda_grw"], results["alpha"]) == (lam, alpha)
+        expected = evolve_pure_decoherence(
+            io.density_matrix_from_json(src), GrwParams(lam, alpha), 100.0)
+        evolved = io.density_matrix_from_json(out / "evolved.json")
+        assert np.array_equal(evolved.entries, expected.entries)
+
     def test_missing_input_flag(self, tmp_path, capsys):
         assert main(["evolve", "--out", str(tmp_path)]) == 2
         capsys.readouterr()
@@ -238,6 +294,12 @@ class TestBoundCommand:
         assert results["cosmological_amplitude"] == source.resolved_amplitude()
         assert results["cosmological_loss"] == cosmological_feasibility(
             source, experiment)
+
+    def test_zero_cosmo_amplitude(self, tmp_path):
+        assert main(["bound", "--cosmo-amplitude", "0", "--out", str(tmp_path)]) == 0
+        results = io.read_json(tmp_path / "report.json")["results"]
+        assert results["cosmological_amplitude"] == 0.0
+        assert results["cosmological_loss"] == 0.0
 
     def test_explicit_cosmo_amplitude_replay(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"

@@ -1,11 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
-from confdec.core import (NATURAL, SI, PhysicalConstants, UnitSystem,
-                          conformal_factor, newtonian_potential)
-from confdec.errors import InvalidDimension, NonPhysicalMetric
+from confdec.core import NATURAL, SI
 
 
 def test_si_constants_codata():
@@ -32,135 +29,6 @@ def test_natural_constants_unity():
 def test_constants_frozen():
     with pytest.raises(Exception):
         SI.c = 1.0
-
-
-class TestConformalFactor:
-    def test_small_amplitude_d4(self):
-        assert conformal_factor(0.1) == pytest.approx(1.21, rel=1e-15)
-        assert conformal_factor(0.0) == 1.0
-
-    def test_amplitude_below_minus_one(self):
-        # integer exponents keep the factor real: 4, 2, 1 for D = 3, 4, 6
-        assert conformal_factor(-2.0, 3) == pytest.approx(1.0)
-        assert conformal_factor(-2.0, 4) == pytest.approx(1.0)
-        assert conformal_factor(-2.0, 6) == pytest.approx(-1.0)
-        assert conformal_factor(-1.5, 4) == pytest.approx(0.25)
-        assert conformal_factor(-1.5, 6) == pytest.approx(-0.5)
-
-    def test_non_integer_exponent_rejected_below_minus_one(self):
-        with pytest.raises(NonPhysicalMetric):
-            conformal_factor(-2.0, 5)
-        with pytest.raises(NonPhysicalMetric):
-            conformal_factor(-1.0001, 7)
-
-    def test_non_integer_exponent_fine_above_minus_one(self):
-        assert conformal_factor(0.2, 5) == pytest.approx((1.2) ** (4.0 / 3.0))
-
-    def test_singular_at_minus_one(self):
-        # f = 0 is a degenerate metric, reported as a value rather than
-        # an exception
-        assert conformal_factor(-1.0, 4) == 0.0
-        assert conformal_factor(-1.0, 6) == 0.0
-
-    def test_low_dimension_rejected(self):
-        for d in (2, 1, 0, -3):
-            with pytest.raises(InvalidDimension):
-                conformal_factor(0.1, d)
-
-    def test_non_integer_dimension_rejected(self):
-        with pytest.raises(InvalidDimension):
-            conformal_factor(0.1, 4.0)
-
-    @given(st.floats(min_value=-0.999, max_value=10.0),
-           st.integers(min_value=3, max_value=12))
-    def test_positive_above_minus_one(self, a, d):
-        assert conformal_factor(a, d) > 0.0
-
-    @given(st.floats(min_value=-0.5, max_value=0.5))
-    def test_d4_is_exact_square(self, a):
-        assert conformal_factor(a, 4) == pytest.approx((1.0 + a) ** 2, rel=1e-15)
-
-    @given(st.floats(min_value=1e-8, max_value=1e-3),
-           st.integers(min_value=3, max_value=10))
-    def test_linearization(self, a, d):
-        # f - 1 ~ 4 A / (D - 2) for small amplitudes
-        f = conformal_factor(a, d)
-        assert f - 1.0 == pytest.approx(4.0 * a / (d - 2), rel=1e-2)
-
-
-class TestNewtonianPotential:
-    def test_d4_closed_form(self):
-        # (M c^2 / 2)(2A + A^2)
-        a, m = 1e-3, 132.9 * SI.amu
-        v = newtonian_potential(a, m)
-        assert v == pytest.approx(0.5 * m * SI.c**2 * (2 * a + a * a), rel=1e-15)
-        assert v == pytest.approx(1.98441534758e-11, rel=1e-11)
-
-    def test_zero_amplitude_zero_potential(self):
-        assert newtonian_potential(0.0, 1.0, NATURAL) == 0.0
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            newtonian_potential(0.1, -1.0)
-
-    @given(st.floats(min_value=-0.9, max_value=2.0),
-           st.floats(min_value=0.0, max_value=1e3))
-    def test_sign_tracks_amplitude(self, a, m):
-        v = newtonian_potential(a, m, NATURAL)
-        if m == 0.0 or abs(a) < 1e-12 or v == 0.0:
-            # degenerate inputs, or the product underflowed to zero
-            # (subnormal m); either way v must sit on the linearization
-            assert v == pytest.approx(m * a, abs=1e-9)
-        else:
-            assert (v > 0) == (a > 0)
-
-
-class TestUnitSystem:
-    def test_si_is_identity(self):
-        u = UnitSystem(mode="si")
-        assert u.time_to_si(3.2) == 3.2
-        assert u.length_to_si(5.0) == 5.0
-        assert u.mass_to_si(2.0) == 2.0
-        assert u.rate_to_si(7.0) == 7.0
-
-    def test_natural_time_scale(self):
-        u = UnitSystem(mode="natural", tau_si=1e-13)
-        assert u.time_to_si(2.0) == pytest.approx(2e-13)
-        assert u.length_to_si(1.0) == pytest.approx(SI.c * 1e-13)
-        assert u.mass_to_si(1.0) == pytest.approx(SI.hbar / (SI.c**2 * 1e-13))
-        # rates are inverse times
-        assert u.rate_to_si(1.0) == pytest.approx(1e13)
-
-    @given(st.floats(min_value=1e-20, max_value=1e3),
-           st.floats(min_value=1e-6, max_value=1e6))
-    def test_round_trip(self, tau_si, value):
-        u = UnitSystem(mode="natural", tau_si=tau_si)
-        for fwd, back in ((u.time_to_si, u.time_from_si),
-                          (u.length_to_si, u.length_from_si),
-                          (u.mass_to_si, u.mass_from_si),
-                          (u.rate_to_si, u.rate_from_si)):
-            assert back(fwd(value)) == pytest.approx(value, rel=1e-12)
-
-    def test_labels(self):
-        nat = UnitSystem(mode="natural", tau_si=1.0)
-        si = UnitSystem(mode="si")
-        assert nat.label("time") == "tau"
-        assert nat.label("length") == "c*tau"
-        assert si.label("time") == "s"
-        assert si.label("length") == "m"
-        assert si.label("dimensionless") == "1"
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            UnitSystem(mode="cgs")
-
-    def test_invalid_tau(self):
-        with pytest.raises(ValueError):
-            UnitSystem(mode="natural", tau_si=0.0)
-
-    def test_natural_mode_constants(self):
-        assert UnitSystem(mode="natural", tau_si=2.0).constants is NATURAL
-        assert UnitSystem(mode="si").constants is SI
 
 
 def test_dimensionless_rate_energy_consistency():

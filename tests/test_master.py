@@ -33,6 +33,15 @@ class TestGrwParams:
         assert grw_params(1.0, 0.05, 1.0).lambda_grw * 16.0 == pytest.approx(
             GP.lambda_grw, rel=1e-12)
 
+    def test_rate_limits(self):
+        assert GP.rate(0.0) == 0.0
+        assert GP.rate(math.inf) == GP.lambda_grw
+        assert GP.rate(5.0) == pytest.approx(
+            GP.lambda_grw * (1.0 - math.exp(-2.0 * 25.0)), rel=1e-15)
+        out = GP.rate(np.array([0.0, 1.0, math.inf]))
+        assert out.shape == (3,)
+        assert out[0] == 0.0 and out[2] == GP.lambda_grw
+
     def test_validation(self):
         with pytest.raises(ValueError):
             grw_params(0.0, 0.1, 1.0)

@@ -1,0 +1,35 @@
+"""Smoke tests: each script under scripts/ runs and agrees with the library."""
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from confdec.master import grw_params
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run(script, *args, cwd):
+    done = subprocess.run([sys.executable, str(SCRIPTS / script), *args], cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_bound_landscape(tmp_path):
+    out = tmp_path / "landscape.csv"
+    run("bound_landscape.py", "--points", "3", "--out", str(out), cwd=tmp_path)
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (9, 3)
+
+
+def test_rate_vs_separation(tmp_path):
+    out = tmp_path / "rates.csv"
+    stdout = run("rate_vs_separation.py", "--dx", "0.25", "--t-list", "25", "50",
+                 "75", "100", "--n-samples", "200", "--out", str(out), cwd=tmp_path)
+    predicted = grw_params(1.0, 0.1, 1.0).rate(0.25)
+    assert f"predicted = {predicted:.4e}" in stdout
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (1, 4)
+    assert rows[0, 3] == predicted
