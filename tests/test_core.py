@@ -1,7 +1,9 @@
+import argparse
 import math
 
 import pytest
 
+from confdec import cli
 from confdec.core import NATURAL, SI
 
 
@@ -29,6 +31,19 @@ def test_natural_constants_unity():
 def test_constants_frozen():
     with pytest.raises(Exception):
         SI.c = 1.0
+
+
+class TestUnitSystem:
+    def test_invalid_mode(self):
+        # a unit system is one of the CLI's UNITS entries (natural, si), each
+        # pairing a constants set with its labels; any other mode is refused
+        # when the parameters are resolved, before a constants set is chosen
+        assert set(cli.UNITS) == {"natural", "si"}
+        assert cli.UNITS["natural"][0] is NATURAL
+        assert cli.UNITS["si"][0] is SI
+        spec = [("units", str, "natural", "unit system")]
+        with pytest.raises(ValueError):
+            cli._resolve(argparse.Namespace(units="cgs"), {}, spec)
 
 
 def test_dimensionless_rate_energy_consistency():
