@@ -200,6 +200,9 @@ def _finish(command, params, out: Path, outputs, summary, failure=None) -> int:
 def _correlation_model(params) -> CorrelationModel:
     if params.get("g1_table"):
         rows = np.loadtxt(params["g1_table"], delimiter=",", ndmin=2)
+        if rows.shape[1] != 2:
+            raise ValueError(f"g1 table rows must be (lag, value) pairs, "
+                             f"got {rows.shape[1]} column(s)")
         return CorrelationModel.tabulated(rows[:, 0], rows[:, 1],
                                           tau=params.get("tau"))
     return CorrelationModel.gaussian(params["tau"])
@@ -284,7 +287,8 @@ def cmd_mc(params) -> int:
         checks["rate_within_3_stderr"] = bool(
             abs(fit.rate - predicted) <= 3.0 * max(fit.stderr, 1e-300))
     return _finish("mc", params, out, ["coherence.csv"],
-                   _summary(params, constants, results, checks))
+                   _summary(params, constants, results, checks),
+                   "fitted rate is more than 3 stderr from the prediction")
 
 
 def cmd_kernel(params) -> int:
@@ -333,7 +337,7 @@ def cmd_kernel(params) -> int:
 def cmd_evolve(params) -> int:
     if not params.get("input"):
         raise ValueError("evolve requires --input (density matrix .json or .csv)")
-    constants, _, xlab = UNITS[params["units"]]
+    constants = UNITS[params["units"]][0]
     path = Path(params["input"])
     if path.suffix == ".json":
         rho = io.density_matrix_from_json(path)
@@ -359,7 +363,6 @@ def cmd_evolve(params) -> int:
 
     out = _outdir(params)
     io.density_matrix_to_json(evolved, out / "evolved.json")
-    io.density_matrix_to_csv(evolved, out / "evolved.csv", xlab)
     min_eig = evolved.min_eigenvalue()
     herm_dev = float(np.abs(evolved.entries - evolved.entries.conj().T).max())
     checks = {
@@ -370,7 +373,7 @@ def cmd_evolve(params) -> int:
     results = {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
                "t_total": t_total, "trace_in": rho.trace(),
                "trace_out": evolved.trace(), "min_eigenvalue": min_eig}
-    return _finish("evolve", params, out, ["evolved.json", "evolved.csv"],
+    return _finish("evolve", params, out, ["evolved.json"],
                    _summary(params, constants, results, checks),
                    "invariant checks failed")
 

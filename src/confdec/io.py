@@ -81,10 +81,14 @@ def density_matrix_to_json(rho: DensityMatrix, path):
 
 def density_matrix_from_json(path) -> DensityMatrix:
     obj = read_json(path)
-    grid = obj["grid"]
-    n = int(grid["n"])
-    x = grid["x0"] + grid["dx"] * np.arange(n)
-    flat = np.asarray(obj["entries"], dtype=float)
+    try:
+        grid, flat = obj["grid"], obj["entries"]
+        n, x0, dx = int(grid["n"]), grid["x0"], grid["dx"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("density-matrix JSON needs a grid {n, dx, x0} "
+                         "and entries") from exc
+    x = x0 + dx * np.arange(n)
+    flat = np.asarray(flat, dtype=float)
     if flat.shape != (n * n, 2):
         raise ValueError("entries must hold n*n [re, im] pairs in row-major order")
     entries = (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
@@ -106,12 +110,15 @@ def density_matrix_from_csv(path) -> DensityMatrix:
         reader = csv.reader(fh)
         next(reader)  # header
         rows = [(float(a), float(b), float(c), float(d)) for a, b, c, d in reader]
-    xs = sorted({r[0] for r in rows})
-    n = len(xs)
-    if len(rows) != n * n:
-        raise ValueError("matrix CSV must contain one row per (x_i, x_j) pair")
-    index = {x: i for i, x in enumerate(xs)}
-    entries = np.zeros((n, n), dtype=complex)
-    for xi, xj, re, im in rows:
-        entries[index[xi], index[xj]] = re + 1j * im
-    return DensityMatrix(x_grid=np.asarray(xs), entries=entries)
+    data = np.array(rows, dtype=float).reshape(-1, 4)
+    xs = np.unique(data[:, 0])
+    n = xs.size
+    i, j = np.searchsorted(xs, data[:, 0]), np.searchsorted(xs, data[:, 1])
+    on_grid = xs[np.minimum(j, n - 1)] == data[:, 1]
+    cell = i * n + j
+    if not on_grid.all() or np.any(np.bincount(cell[on_grid], minlength=n * n) != 1):
+        raise ValueError("matrix CSV must contain exactly one row per (x_i, x_j) "
+                         "pair of grid points")
+    entries = np.zeros(n * n, dtype=complex)
+    entries[cell] = data[:, 2] + 1j * data[:, 3]
+    return DensityMatrix(x_grid=xs, entries=entries.reshape(n, n))

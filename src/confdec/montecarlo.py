@@ -10,8 +10,9 @@ and averages ``exp(i * (phi(x') - phi(x)))`` over the ensemble.  The decay of
 that average with T gives the decoherence rate for separation ``|x' - x|``.
 
 Per-sample RNG streams are derived from ``(master seed, T index, sample
-index)``, so results are reproducible and independent of block batching up
-to floating-point reduction order (below 1e-12 relative).
+index)``, so the phases are reproducible and bit-identical whatever the block
+batching.  Each T's coherence and its standard error are reduced with numpy
+over the full ensemble of phases.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ class McParams:
             raise ValueError("t_list must not be empty")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        _check_resolution(CorrelationModel.gaussian(self.tau), self.dt_effective)
+        _check_resolution(self.model, self.dt_effective)
         dx_time = abs(self.positions[1] - self.positions[0]) / self.constants.c
         for t in self.t_list:
             if t <= 10.0 * dx_time:
@@ -194,12 +195,12 @@ def predicted_mean_phase(params: McParams, t: float) -> float:
     return -pref * params.a0**2 * t
 
 
-def _phase_pair_blocks(params: McParams, t: float, t_index: int):
-    """Yield per-block phase arrays ``(phi_x, phi_xp)`` for each sample block."""
+def sample_phases(params: McParams, t: float, t_index: int = 0):
+    """All per-sample phases ``(phi_x, phi_x')`` at flight time ``t``."""
     grid, k0, k_t = _mc_grid(params, t)
     L, amp = embedding_spectrum(params.model, grid)
     n = grid.n_steps
-    x_a, x_b = params.positions
+    phases = np.empty((2, params.n_samples))
     for start in range(0, params.n_samples, _BLOCK):
         b = min(_BLOCK, params.n_samples - start)
         z = np.empty((2, b, L))
@@ -208,15 +209,9 @@ def _phase_pair_blocks(params: McParams, t: float, t_index: int):
             for stream in (0, 1):
                 _stream_rng(entropy, stream).standard_normal(out=z[stream, j])
         xi = _irfft_normals(z, amp)[:, :, :n]
-        yield (_phases_at(xi[0], xi[1], k0, k_t, params, x_a),
-               _phases_at(xi[0], xi[1], k0, k_t, params, x_b))
-
-
-def sample_phases(params: McParams, t: float, t_index: int = 0):
-    """All per-sample phases ``(phi_x, phi_x')`` at flight time ``t``."""
-    chunks = [np.stack(pair) for pair in _phase_pair_blocks(params, t, t_index)]
-    stacked = np.concatenate(chunks, axis=1)
-    return stacked[0], stacked[1]
+        for row, x in zip(phases, params.positions):
+            row[start:start + b] = _phases_at(xi[0], xi[1], k0, k_t, params, x)
+    return phases[0], phases[1]
 
 
 def sample_phase_differences(params: McParams, t: float, t_index: int = 0) -> np.ndarray:
@@ -225,46 +220,25 @@ def sample_phase_differences(params: McParams, t: float, t_index: int = 0) -> np
     return phi_b - phi_a
 
 
-def _summarize(z_sums, n: int, t: float) -> CoherenceRecord:
-    sr, si, srr, sii, sri = z_sums
-    mr, mi = sr / n, si / n
-    mean = complex(mr, mi)
-    if n < 2:
-        return CoherenceRecord(t=t, mean=mean, stderr=0.0, n_samples=n)
-    vrr = max((srr - n * mr * mr) / (n - 1), 0.0)
-    vii = max((sii - n * mi * mi) / (n - 1), 0.0)
-    vri = (sri - n * mr * mi) / (n - 1)
-    mag = abs(mean)
-    if mag == 0.0:
-        var_along = 0.5 * (vrr + vii)
-    else:
-        ur, ui = mr / mag, mi / mag
-        var_along = ur * ur * vrr + 2.0 * ur * ui * vri + ui * ui * vii
-    return CoherenceRecord(t=t, mean=mean,
-                           stderr=math.sqrt(max(var_along, 0.0) / n), n_samples=n)
-
-
 def coherence_mc(params: McParams) -> CoherenceEstimate:
     """Ensemble coherence ``M[exp(i (phi(x') - phi(x)))]`` for every T.
 
     Each T uses its own independent ensemble of ``n_samples`` realizations.
-    The standard error is that of the coherence magnitude (variance of the
-    sample component along the mean direction).
+    The standard error is that of the coherence magnitude: the sample
+    standard deviation of the component along the mean direction over
+    ``sqrt(n_samples)``.
     """
     if params.n_samples < 100:
         raise InsufficientSamples(
             f"n_samples = {params.n_samples} < 100 gives meaningless statistics")
     records = []
     for t_index, t in enumerate(params.t_list):
-        sums = np.zeros(5)
-        n = 0
-        for phi_a, phi_b in _phase_pair_blocks(params, t, t_index):
-            z = np.exp(1j * (phi_b - phi_a))
-            re, im = z.real, z.imag
-            sums += (re.sum(), im.sum(), (re * re).sum(), (im * im).sum(),
-                     (re * im).sum())
-            n += z.size
-        records.append(_summarize(sums, n, t))
+        z = np.exp(1j * sample_phase_differences(params, t, t_index))
+        mean = z.mean()
+        along = (z * np.exp(-1j * np.angle(mean))).real
+        records.append(CoherenceRecord(
+            t=t, mean=complex(mean), n_samples=z.size,
+            stderr=float(along.std(ddof=1) / math.sqrt(z.size))))
     return CoherenceEstimate(delta_x=params.delta_x, records=tuple(records))
 
 
@@ -288,20 +262,9 @@ def fit_decoherence_rate(estimate: CoherenceEstimate) -> RateFit:
     if np.any(mags <= 5.0 * errs):
         raise UndersampledSignal("coherence magnitude within 5 stderr of zero")
     y = -np.log(mags)
-    sigma = errs / mags
-    if sigma.max() == 0.0:
-        w = np.ones_like(y)
-        exact = True
+    if errs.max() == 0.0:
+        (rate, intercept), stderr = np.polyfit(ts, y, 1), 0.0
     else:
-        w = 1.0 / np.maximum(sigma, 1e-300) ** 2
-        exact = False
-    s0 = w.sum()
-    sx = (w * ts).sum()
-    sxx = (w * ts * ts).sum()
-    sy = (w * y).sum()
-    sxy = (w * ts * y).sum()
-    delta = s0 * sxx - sx * sx
-    rate = (s0 * sxy - sx * sy) / delta
-    intercept = (sxx * sy - sx * sxy) / delta
-    stderr = 0.0 if exact else math.sqrt(s0 / delta)
-    return RateFit(rate=float(rate), stderr=float(stderr), intercept=float(intercept))
+        (rate, intercept), cov = np.polyfit(ts, y, 1, w=mags / errs, cov="unscaled")
+        stderr = math.sqrt(cov[0, 0])
+    return RateFit(rate=float(rate), stderr=stderr, intercept=float(intercept))

@@ -11,7 +11,7 @@ from confdec.core import NATURAL, SI
 from confdec.master import (GrwParams, evolve_pure_decoherence,
                             gaussian_pure_state, grw_params,
                             superposed_gaussians)
-from confdec.montecarlo import CoherenceEstimate, CoherenceRecord
+from confdec.montecarlo import CoherenceEstimate, CoherenceRecord, RateFit
 
 X_GRID = np.linspace(-8.0, 8.0, 41)
 
@@ -36,6 +36,31 @@ class TestIoRoundTrips:
         back = io.density_matrix_from_csv(path)
         assert np.array_equal(back.entries, rho.entries)
         assert np.array_equal(back.x_grid, rho.x_grid)
+
+    def test_json_without_grid_rejected(self, tmp_path, capsys):
+        src = tmp_path / "rho.json"
+        io.write_json(src, {"entries": [[1.0, 0.0]]})
+        rc = main(["evolve", "--input", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        # an x_j that is not one of the x_i values
+        lambda rows: ["-2,-2.5," + rows[0].split(",", 2)[2], *rows[1:]],
+        # one (x_i, x_j) pair duplicated, another missing
+        lambda rows: [rows[0], rows[0], *rows[2:]],
+    ], ids=["off_grid_x_j", "duplicate_pair"])
+    def test_malformed_matrix_csv_rejected(self, tmp_path, edit, capsys):
+        src = tmp_path / "rho.csv"
+        io.density_matrix_to_csv(
+            gaussian_pure_state(np.linspace(-2.0, 2.0, 5), sigma=1.0), src)
+        header, *rows = src.read_text().splitlines()
+        src.write_text("\n".join([header, *edit(rows)]) + "\n")
+        with pytest.raises(ValueError, match="one row per"):
+            io.density_matrix_from_csv(src)
+        rc = main(["evolve", "--input", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        capsys.readouterr()
 
     def test_json_output_is_key_sorted(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -137,6 +162,14 @@ class TestFieldCommand:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["field", "kernel"])
+    def test_one_column_table_rejected(self, tmp_path, command, capsys):
+        table = tmp_path / "g1.csv"
+        table.write_text("0\n1\n2\n")
+        rc = main([command, "--g1-table", str(table), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "(lag, value)" in capsys.readouterr().err
+
     def test_indefinite_table_rejected(self, tmp_path, capsys):
         table = tmp_path / "g1.csv"
         table.write_text("0,1\n1,-0.9\n2,0.8\n3,-0.6\n4,0\n")
@@ -163,6 +196,24 @@ class TestMcCommand:
         assert report["checks"]["signal_above_noise"] is False
         assert "rate" not in report["results"]
         capsys.readouterr()
+
+    def test_rate_outside_3_stderr_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a fit far from the prediction must fail the run like any other
+        # statistical check, and still leave its rate.json and manifest
+        predicted = grw_params(1.0, 0.1, 1.0).rate(1.0)
+        monkeypatch.setattr("confdec.cli.fit_decoherence_rate",
+                            lambda est: RateFit(rate=10.0 * predicted,
+                                                stderr=0.01 * predicted,
+                                                intercept=0.0))
+        rc = main(["mc", "--dx", "1", "--t-list", "16,24,32,40",
+                   "--n-samples", "100", "--out", str(tmp_path)])
+        assert rc == 3
+        report = io.read_json(tmp_path / "rate.json")
+        assert report["checks"] == {"signal_above_noise": True,
+                                    "rate_within_3_stderr": False}
+        manifest = io.read_json(tmp_path / "manifest.json")
+        assert manifest["outputs"] == ["coherence.csv", "rate.json"]
+        assert "3 stderr" in capsys.readouterr().err
 
 
 class TestKernelCommand:
@@ -191,6 +242,10 @@ class TestEvolveCommand:
         assert abs(evolved.entries[i, j]) < abs(rho.entries[i, j])
         summary = io.read_json(out / "summary.json")
         assert all(summary["checks"].values())
+        assert {p.name for p in out.iterdir()} == {
+            "evolved.json", "summary.json", "manifest.json"}
+        assert io.read_json(out / "manifest.json")["outputs"] == [
+            "evolved.json", "summary.json"]
 
     def test_csv_input_matches_json_input(self, tmp_path):
         rho = superposed_gaussians(X_GRID, sigma=1.0, separation=4.0)

@@ -119,17 +119,17 @@ class TestPhaseAccumulation:
 
 class TestSampling:
     def test_batch_matches_per_sample_synthesis(self):
-        # block-batched sampling must agree with sampling each realization
-        # individually through the public field API
-        p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=6)
+        # block-batched sampling must agree bit for bit with sampling each
+        # realization individually through the public field API, on both
+        # sides of the first block boundary (blocks hold 256 samples)
+        p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=258)
         phi_a, phi_b = sample_phases(p, 16.0, t_index=0)
+        assert phi_a.shape == phi_b.shape == (258,)
         grid, _, _ = _mc_grid(p, 16.0)
-        for j in range(6):
+        for j in (0, 255, 256, 257):
             r = sample_field(p.model, grid, (p.seed, 0, j))
-            assert accumulate_phase(r, 0.0, 16.0, p) == pytest.approx(
-                phi_a[j], rel=1e-12)
-            assert accumulate_phase(r, 1.0, 16.0, p) == pytest.approx(
-                phi_b[j], rel=1e-12)
+            assert accumulate_phase(r, 0.0, 16.0, p) == phi_a[j]
+            assert accumulate_phase(r, 1.0, 16.0, p) == phi_b[j]
 
     def test_t_index_separates_ensembles(self):
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=8)
@@ -160,6 +160,19 @@ class TestSampling:
         d = sample_phase_differences(p, 16.0)
         se = d.std(ddof=1) / math.sqrt(d.size)
         assert abs(d.mean()) <= 4.0 * se
+
+    def test_stderr_is_projected_std_of_sampled_phases(self):
+        # the record's stderr is the sample std of the component of
+        # exp(i dphi) along the mean direction, over sqrt(n)
+        p = default_params(positions=(0.0, 1.0), t_list=(16.0, 32.0),
+                           n_samples=300)
+        for t_index, rec in enumerate(coherence_mc(p).records):
+            phi_a, phi_b = sample_phases(p, rec.t, t_index)
+            z = np.exp(1j * (phi_b - phi_a))
+            u = z.mean() / abs(z.mean())
+            along = z.real * u.real + z.imag * u.imag
+            expected = along.std(ddof=1) / math.sqrt(z.size)
+            assert rec.stderr == pytest.approx(expected, rel=1e-12)
 
     def test_insufficient_samples(self):
         p = default_params(n_samples=50)
@@ -259,7 +272,11 @@ class TestRateFit:
         fit = fit_decoherence_rate(est)
         assert fit.rate == pytest.approx(2.5e-4, rel=1e-9)
         assert fit.intercept == pytest.approx(0.17, rel=1e-9)
-        assert fit.stderr > 0.0
+        # closed-form slope stderr of the weighted fit, w = (|mean|/stderr)^2
+        ts = np.array([r.t for r in est.records])
+        w = np.array([abs(r.mean) / r.stderr for r in est.records]) ** 2
+        delta = w.sum() * (w * ts * ts).sum() - (w * ts).sum() ** 2
+        assert fit.stderr == pytest.approx(math.sqrt(w.sum() / delta), rel=1e-12)
 
     def test_zero_stderr_exact_fit(self):
         est = self.synthetic(1e-3, 0.0, (100.0, 200.0, 300.0, 400.0), stderr=0.0)
