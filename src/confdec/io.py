@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,11 +107,13 @@ def density_matrix_to_csv(rho: DensityMatrix, path, length_unit: str = "1"):
 
 
 def density_matrix_from_csv(path) -> DensityMatrix:
-    with Path(path).open() as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        rows = [(float(a), float(b), float(c), float(d)) for a, b, c, d in reader]
-    data = np.array(rows, dtype=float).reshape(-1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: rejected below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError("matrix CSV has no data rows")
+    if data.shape[1] != 4:
+        raise ValueError("matrix CSV rows must have 4 columns: x_i, x_j, re, im")
     xs = np.unique(data[:, 0])
     n = xs.size
     i, j = np.searchsorted(xs, data[:, 0]), np.searchsorted(xs, data[:, 1])

@@ -9,10 +9,18 @@ potential at two positions to get the accumulated phases
 and averages ``exp(i * (phi(x') - phi(x)))`` over the ensemble.  The decay of
 that average with T gives the decoherence rate for separation ``|x' - x|``.
 
+The phase at x is assembled from five trapezoid integrals of the streams
+along its light cones, ``(Ip, Im, Ipp, Imm, Ipm)`` of xi+, xi-, xi+^2, xi-^2
+and xi+ xi-, so it is known at once for every stream-sign pattern
+``(xi+, xi-) -> (s+ xi+, s- xi-)``.  Those patterns leave the Gaussian measure
+unchanged, and ``coherence_mc`` scores each draw as the average of
+``exp(i dphi)`` over all four; the phase API (``accumulate_phase``,
+``sample_phases``) returns the draw as synthesized, the pattern (+, +).
+
 Per-sample RNG streams are derived from ``(master seed, T index, sample
 index)``, so the phases are reproducible and bit-identical whatever the block
 batching.  Each T's coherence and its standard error are reduced with numpy
-over the full ensemble of phases.
+over the full ensemble of draws.
 """
 from __future__ import annotations
 
@@ -154,17 +162,52 @@ def _shifted_segment(arr: np.ndarray, k0: int, k_t: int, offset: float) -> np.nd
             + w * arr[..., base + 1:base + k_t + 2])
 
 
-def _phases_at(xi_p, xi_m, k0, k_t, params: McParams, x: float) -> np.ndarray:
-    """Accumulated phase at position x for stacked realizations (..., n)."""
-    c = params.constants.c
-    dt = params.dt_effective
-    shift = x / (c * dt)
-    s = (_shifted_segment(xi_p, k0, k_t, -shift)
-         + _shifted_segment(xi_m, k0, k_t, +shift))
-    integrand = params.a0 * s + 0.5 * params.a0**2 * s * s
-    trapz = integrand.sum(axis=-1) - 0.5 * (integrand[..., 0] + integrand[..., -1])
-    pref = params.mass * c**2 / params.constants.hbar
-    return -pref * dt * trapz
+def _trapz(f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise trapezoid sum of ``f`` (or of ``f * g``) for 2-D ``f``, per unit step."""
+    if g is None:
+        return f.sum(axis=-1) - 0.5 * (f[:, 0] + f[:, -1])
+    return (np.einsum("ij,ij->i", f, g)
+            - 0.5 * (f[:, 0] * g[:, 0] + f[:, -1] * g[:, -1]))
+
+
+def _integrals_at(xi_p, xi_m, k0, k_t, params: McParams, x: float) -> np.ndarray:
+    """The five stream integrals at position x for realizations stacked as (b, n).
+
+    With ``p`` and ``m`` the plus and minus streams along the light-cone
+    shifted window of x, returns ``(Ip, Im, Ipp, Imm, Ipm)`` as a ``(5, b)``
+    array: the trapezoid integrals (in units of ``dt``) of p, m, p^2, m^2
+    and p*m.
+    """
+    shift = x / (params.constants.c * params.dt_effective)
+    p = _shifted_segment(xi_p, k0, k_t, -shift)
+    m = _shifted_segment(xi_m, k0, k_t, +shift)
+    return np.stack([_trapz(p), _trapz(m), _trapz(p, p), _trapz(m, m),
+                     _trapz(p, m)])
+
+
+def _phase_terms(ints, params: McParams, sign_plus=1.0, sign_minus=1.0):
+    """Linear and quadratic parts of the phase under stream signs (s+, s-).
+
+    The phase of the realization with xi+ -> s+ xi+ and xi- -> s- xi- is
+
+        -(M c^2 / hbar) dt [A0 (s+ Ip + s- Im)
+                            + A0^2/2 (Ipp + Imm + 2 s+ s- Ipm)],
+
+    the trapezoid integral of the potential ``V = (M c^2/2)((1 + A0 s)^2 - 1)``
+    with ``s = s+ xi+ + s- xi-``; returned as ``(linear, quadratic)``.
+    """
+    i_p, i_m, i_pp, i_mm, i_pm = ints
+    pref = -params.mass * params.constants.c**2 / params.constants.hbar \
+        * params.dt_effective
+    a0 = params.a0
+    return (pref * a0 * (sign_plus * i_p + sign_minus * i_m),
+            pref * 0.5 * a0**2 * (i_pp + i_mm + 2.0 * sign_plus * sign_minus * i_pm))
+
+
+def _phase(ints, params: McParams) -> np.ndarray:
+    """Phase of the realization as drawn, the identity sign pattern (+, +)."""
+    linear, quadratic = _phase_terms(ints, params)
+    return linear + quadratic
 
 
 def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
@@ -185,8 +228,9 @@ def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
     k0, k_t = int(round(k0_f)), int(round(steps))
     if k_t < 1:
         raise ValueError("t_final must be at least one step")
-    return float(_phases_at(realization.xi_plus[None, :], realization.xi_minus[None, :],
-                            k0, k_t, params, x)[0])
+    return float(_phase(_integrals_at(realization.xi_plus[None, :],
+                                      realization.xi_minus[None, :], k0, k_t, params, x),
+                        params)[0])
 
 
 def predicted_mean_phase(params: McParams, t: float) -> float:
@@ -195,12 +239,16 @@ def predicted_mean_phase(params: McParams, t: float) -> float:
     return -pref * params.a0**2 * t
 
 
-def sample_phases(params: McParams, t: float, t_index: int = 0):
-    """All per-sample phases ``(phi_x, phi_x')`` at flight time ``t``."""
+def _sample_integrals(params: McParams, t: float, t_index: int) -> np.ndarray:
+    """Stream integrals of every draw at flight time ``t``: ``(2, 5, n_samples)``.
+
+    Axis 0 is the position pair, axis 1 the five integrals of
+    ``_integrals_at``.
+    """
     grid, k0, k_t = _mc_grid(params, t)
     L, amp = embedding_spectrum(params.model, grid)
     n = grid.n_steps
-    phases = np.empty((2, params.n_samples))
+    ints = np.empty((2, 5, params.n_samples))
     for start in range(0, params.n_samples, _BLOCK):
         b = min(_BLOCK, params.n_samples - start)
         z = np.empty((2, b, L))
@@ -209,9 +257,15 @@ def sample_phases(params: McParams, t: float, t_index: int = 0):
             for stream in (0, 1):
                 _stream_rng(entropy, stream).standard_normal(out=z[stream, j])
         xi = _irfft_normals(z, amp)[:, :, :n]
-        for row, x in zip(phases, params.positions):
-            row[start:start + b] = _phases_at(xi[0], xi[1], k0, k_t, params, x)
-    return phases[0], phases[1]
+        for out, x in zip(ints, params.positions):
+            out[:, start:start + b] = _integrals_at(xi[0], xi[1], k0, k_t, params, x)
+    return ints
+
+
+def sample_phases(params: McParams, t: float, t_index: int = 0):
+    """All per-sample phases ``(phi_x, phi_x')`` at flight time ``t``."""
+    ints_a, ints_b = _sample_integrals(params, t, t_index)
+    return _phase(ints_a, params), _phase(ints_b, params)
 
 
 def sample_phase_differences(params: McParams, t: float, t_index: int = 0) -> np.ndarray:
@@ -223,9 +277,14 @@ def sample_phase_differences(params: McParams, t: float, t_index: int = 0) -> np
 def coherence_mc(params: McParams) -> CoherenceEstimate:
     """Ensemble coherence ``M[exp(i (phi(x') - phi(x)))]`` for every T.
 
-    Each T uses its own independent ensemble of ``n_samples`` realizations.
-    The standard error is that of the coherence magnitude: the sample
-    standard deviation of the component along the mean direction over
+    Each T uses its own independent ensemble of ``n_samples`` draws.  The
+    streams' Gaussian measure is unchanged by ``xi+ -> -xi+`` and
+    ``xi- -> -xi-``, so each draw is scored as ``z_j``, the average of
+    ``exp(i dphi)`` over its four sign patterns.  The patterns ``(s+, s-)``
+    and ``(-s+, -s-)`` share the quadratic phase ``Q`` and negate the linear
+    one ``L``, so ``z_j = (exp(i Q_same) cos L_same + exp(i Q_opp) cos L_opp)
+    / 2``.  The standard error is that of the coherence magnitude: the
+    sample standard deviation of ``z_j`` along the mean direction over
     ``sqrt(n_samples)``.
     """
     if params.n_samples < 100:
@@ -233,7 +292,13 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
             f"n_samples = {params.n_samples} < 100 gives meaningless statistics")
     records = []
     for t_index, t in enumerate(params.t_list):
-        z = np.exp(1j * sample_phase_differences(params, t, t_index))
+        ints_a, ints_b = _sample_integrals(params, t, t_index)
+        z = np.zeros(params.n_samples, dtype=complex)
+        for sign_minus in (1.0, -1.0):
+            (lin_a, quad_a), (lin_b, quad_b) = (
+                _phase_terms(ints, params, 1.0, sign_minus) for ints in (ints_a, ints_b))
+            z += np.exp(1j * (quad_b - quad_a)) * np.cos(lin_b - lin_a)
+        z *= 0.5
         mean = z.mean()
         along = (z * np.exp(-1j * np.angle(mean))).real
         records.append(CoherenceRecord(

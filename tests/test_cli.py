@@ -62,6 +62,19 @@ class TestIoRoundTrips:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("rows, message", [
+        (["-2,-2,0.1", "-2,2,0.0"], "4 columns"),
+        ([], "no data rows"),
+    ], ids=["three_columns", "header_only"])
+    def test_matrix_csv_shape_rejected(self, tmp_path, rows, message, capsys):
+        src = tmp_path / "rho.csv"
+        src.write_text("\n".join(["x_i[1],x_j[1],re[1],im[1]", *rows]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            io.density_matrix_from_csv(src)
+        rc = main(["evolve", "--input", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        capsys.readouterr()
+
     def test_json_output_is_key_sorted(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         io.write_json(a, {"z": 1.0, "a": [1, 2]})
