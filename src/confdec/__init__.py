@@ -19,15 +19,14 @@ from .errors import (ConfdecError, EvenOrderRejected, FitDegenerate,
                      QuadratureFailure, ResolutionError, StepTooLarge,
                      SubPlanckCutoff, UndersampledSignal)
 from .field import (CorrelationEstimate, CorrelationModel, FieldGrid,
-                    FieldRealization, estimate_g1, estimate_g2, field_at,
+                    FieldRealization, estimate_g1, estimate_g2,
                     odd_moment_check, sample_field)
 from .master import (DensityMatrix, GrwParams, closed_form_kernel,
                      decoherence_factor, evolve_pure_decoherence,
-                     evolve_with_free_hamiltonian, gaussian_pure_state,
-                     general_kernel, grw_params, superposed_gaussians)
+                     evolve_with_free_hamiltonian, general_kernel,
+                     grw_params, superposed_gaussians)
 from .montecarlo import (CoherenceEstimate, CoherenceRecord, McParams, RateFit,
                          accumulate_phase, coherence_mc, fit_decoherence_rate,
-                         predicted_mean_phase, sample_phase_differences,
                          sample_phases)
 
 __all__ = [
@@ -38,13 +37,11 @@ __all__ = [
     "QuadratureFailure", "StepTooLarge", "SubPlanckCutoff",
     "PhysicalConstants", "SI", "NATURAL",
     "CorrelationModel", "FieldGrid", "FieldRealization", "CorrelationEstimate",
-    "sample_field", "field_at", "estimate_g1", "estimate_g2",
-    "odd_moment_check",
+    "sample_field", "estimate_g1", "estimate_g2", "odd_moment_check",
     "McParams", "CoherenceRecord", "CoherenceEstimate", "RateFit",
-    "accumulate_phase", "predicted_mean_phase", "sample_phases",
-    "sample_phase_differences", "coherence_mc", "fit_decoherence_rate",
+    "accumulate_phase", "sample_phases", "coherence_mc", "fit_decoherence_rate",
     "GrwParams", "grw_params", "decoherence_factor", "DensityMatrix",
-    "gaussian_pure_state", "superposed_gaussians", "evolve_pure_decoherence",
+    "superposed_gaussians", "evolve_pure_decoherence",
     "evolve_with_free_hamiltonian", "general_kernel", "closed_form_kernel",
     "CutoffModel", "build_cutoff_model", "mode_density",
     "zero_point_energy_density", "integrated_zero_point_density",

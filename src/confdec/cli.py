@@ -7,9 +7,10 @@ general-correlation kernel), ``evolve`` (density-matrix evolution), and
 
 Every parameter can come from a flag or a config file (``--config``,
 either ``key = value`` lines or a previously written ``manifest.json``);
-flags win over the file.  Each run writes its resolved parameters to
-``manifest.json`` in the output directory, and re-running from that
-manifest reproduces all outputs byte-identically.
+flags win over the file.  A config key that names no parameter of the
+command, and a NaN or infinite number, are validation errors.  Each run
+writes its resolved parameters to ``manifest.json`` in the output directory,
+and re-running from that manifest reproduces all outputs byte-identically.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical or
 statistical failure.
@@ -137,8 +138,12 @@ def _load_config(path: str) -> dict:
     p = Path(path)
     text = p.read_text()
     if p.suffix == ".json":
-        obj = json.loads(text)
-        return obj.get("params", obj)
+        cfg = json.loads(text)
+        if isinstance(cfg, dict):
+            cfg = cfg.get("params", cfg)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"JSON config {path} must hold an object of parameters")
+        return cfg
     cfg = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -152,12 +157,20 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve(args, config: dict, specs) -> dict:
+    unknown = sorted(set(config) - {spec[0] for spec in specs})
+    if unknown:
+        raise ValueError(f"config names no parameter of this command: {', '.join(unknown)}")
     params = {}
     for name, typ, default, _help in specs:
         value = getattr(args, name, None)
         if value is None:
             value = config.get(name, default)
-        params[name] = _convert(value, typ)
+        try:
+            params[name] = value = _convert(value, typ)
+        except TypeError as exc:   # a JSON list or object where a number belongs
+            raise ValueError(f"{name}: {exc}") from exc
+        if typ in (float, FLIST) and value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
     if params.get("units") not in (None, *UNITS):
         raise ValueError(f"units must be 'natural' or 'si', got {params['units']!r}")
     return params

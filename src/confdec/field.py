@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import (EvenOrderRejected, IndefiniteCovariance, OutOfRange,
-                     ResolutionError)
+from .errors import EvenOrderRejected, IndefiniteCovariance, ResolutionError
 
 _SPECTRUM_TOL = 1e-8     # relative tolerance for negative circulant eigenvalues
 _PAD_CORR_TIMES = 8.0    # pad length in units of tau
@@ -55,6 +54,8 @@ class CorrelationModel:
                 raise ValueError("tabulated model needs at least two (lag, value) pairs")
             lags = np.array([p[0] for p in self.table], dtype=float)
             vals = np.array([p[1] for p in self.table], dtype=float)
+            if not (np.isfinite(lags).all() and np.isfinite(vals).all()):
+                raise ValueError("table lags and values must be finite")
             if np.any(np.diff(lags) <= 0):
                 raise ValueError("table lags must be strictly increasing")
             if lags[0] != 0.0:
@@ -146,10 +147,6 @@ class FieldGrid:
     def duration(self) -> float:
         return (self.n_steps - 1) * self.dt
 
-    @property
-    def t_end(self) -> float:
-        return self.t_start + self.duration
-
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_steps)
 
@@ -161,7 +158,6 @@ class FieldRealization:
     grid: FieldGrid
     xi_plus: np.ndarray
     xi_minus: np.ndarray
-    seed: object
 
     def __post_init__(self):
         for arr in (self.xi_plus, self.xi_minus):
@@ -181,11 +177,6 @@ def _seed_entropy(seed) -> tuple:
             raise ValueError("seed tuple must contain non-negative integers")
         return tuple(int(s) for s in seed)
     raise ValueError(f"seed must be an int or tuple of ints, got {type(seed)}")
-
-
-def _stream_rng(entropy: tuple, stream: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy + (stream,))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _check_resolution(model: CorrelationModel, dt: float):
@@ -245,6 +236,22 @@ def synthesize_stream(rng: np.random.Generator, L: int, amp: np.ndarray,
     return _irfft_normals(rng.standard_normal(L), amp)[:n_steps].copy()
 
 
+def _draw_streams(entropies, L: int, amp: np.ndarray, n_steps: int) -> np.ndarray:
+    """Both streams of every keyed draw, retained part only: ``(2, b, n_steps)``.
+
+    Stream ``s`` of draw ``j`` comes from its own ``PCG64`` seeded with
+    ``entropies[j] + (s,)``, so each stream is reproducible on its own,
+    whatever the batch it is drawn in.  The result is a view of the
+    full-length ``(2, b, L)`` synthesis.
+    """
+    z = np.empty((2, len(entropies), L))
+    for j, entropy in enumerate(entropies):
+        for stream in (0, 1):
+            ss = np.random.SeedSequence(entropy + (stream,))
+            np.random.Generator(np.random.PCG64(ss)).standard_normal(out=z[stream, j])
+    return _irfft_normals(z, amp)[..., :n_steps]
+
+
 def sample_field(model: CorrelationModel, grid: FieldGrid, seed) -> FieldRealization:
     """Sample both streams on ``grid`` from disjoint RNG streams.
 
@@ -254,39 +261,9 @@ def sample_field(model: CorrelationModel, grid: FieldGrid, seed) -> FieldRealiza
     """
     _check_resolution(model, grid.dt)
     L, amp = embedding_spectrum(model, grid)
-    entropy = _seed_entropy(seed)
-    xi_plus = synthesize_stream(_stream_rng(entropy, 0), L, amp, grid.n_steps)
-    xi_minus = synthesize_stream(_stream_rng(entropy, 1), L, amp, grid.n_steps)
-    return FieldRealization(grid=grid, xi_plus=xi_plus, xi_minus=xi_minus, seed=seed)
-
-
-def field_at(realization: FieldRealization, x, t, direction: str, c: float = 1.0):
-    """Evaluate one stream at position ``x`` and time ``t``.
-
-    The plus stream propagates rightward and is evaluated at ``t - x/c``,
-    the minus stream at ``t + x/c``.  Linear interpolation between grid
-    nodes; lookups outside the sampled interval raise ``OutOfRange``.
-    """
-    if direction == "plus":
-        shifted = np.asarray(t, dtype=float) - np.asarray(x, dtype=float) / c
-        data = realization.xi_plus
-    elif direction == "minus":
-        shifted = np.asarray(t, dtype=float) + np.asarray(x, dtype=float) / c
-        data = realization.xi_minus
-    else:
-        raise ValueError(f"direction must be 'plus' or 'minus', got {direction!r}")
-    grid = realization.grid
-    idx = (shifted - grid.t_start) / grid.dt
-    eps = 1e-9
-    if np.any(idx < -eps) or np.any(idx > grid.n_steps - 1 + eps):
-        raise OutOfRange(
-            f"lookup at shifted time {shifted} outside sampled interval "
-            f"[{grid.t_start}, {grid.t_end}]")
-    idx = np.clip(idx, 0.0, grid.n_steps - 1.0)
-    k = np.minimum(idx.astype(int), grid.n_steps - 2)
-    w = idx - k
-    out = (1.0 - w) * data[k] + w * data[k + 1]
-    return float(out) if out.ndim == 0 else out
+    xi = _draw_streams([_seed_entropy(seed)], L, amp, grid.n_steps)
+    return FieldRealization(grid=grid, xi_plus=xi[0, 0].copy(),
+                            xi_minus=xi[1, 0].copy())
 
 
 @dataclass(frozen=True, eq=False)

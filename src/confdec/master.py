@@ -94,6 +94,8 @@ class DensityMatrix:
             raise ValueError("x_grid must be 1-d with at least two points")
         if e.shape != (x.size, x.size):
             raise ValueError("entries must be square and match the grid")
+        if not (np.isfinite(x).all() and np.isfinite(e).all()):
+            raise ValueError("x_grid and entries must be finite")
         steps = np.diff(x)
         if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.mean():
             raise ValueError("x_grid must be uniformly spaced and increasing")
@@ -134,15 +136,6 @@ class DensityMatrix:
         if tr <= 0:
             raise ValueError("cannot normalize: non-positive trace")
         return cls(x_grid=x, entries=e / tr)
-
-
-def gaussian_pure_state(x_grid, sigma: float, center: float = 0.0,
-                        momentum: float = 0.0, hbar: float = 1.0) -> DensityMatrix:
-    """Pure Gaussian wavepacket ``rho = psi psi*`` with position spread sigma."""
-    x = np.asarray(x_grid, dtype=float)
-    psi = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)
-                 + 1j * momentum * x / hbar)
-    return DensityMatrix.from_unnormalized(x, np.outer(psi, psi.conj()))
 
 
 def superposed_gaussians(x_grid, sigma: float, separation: float,

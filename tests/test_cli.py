@@ -8,12 +8,17 @@ from confdec.bounds import (CosmoSourceParams, ExperimentParams,
                             cosmological_feasibility)
 from confdec.cli import main
 from confdec.core import NATURAL, SI
-from confdec.master import (GrwParams, evolve_pure_decoherence,
-                            gaussian_pure_state, grw_params,
-                            superposed_gaussians)
+from confdec.master import (DensityMatrix, GrwParams, evolve_pure_decoherence,
+                            grw_params, superposed_gaussians)
 from confdec.montecarlo import CoherenceEstimate, CoherenceRecord, RateFit
 
 X_GRID = np.linspace(-8.0, 8.0, 41)
+
+
+def pure_gaussian(x, sigma: float, momentum: float = 0.0) -> DensityMatrix:
+    """Pure Gaussian wavepacket ``rho = psi psi*`` centred at 0, with hbar = 1."""
+    psi = np.exp(-x**2 / (4.0 * sigma**2) + 1j * momentum * x)
+    return DensityMatrix.from_unnormalized(x, np.outer(psi, psi.conj()))
 
 
 def read_bytes(path):
@@ -30,7 +35,7 @@ class TestIoRoundTrips:
         assert np.allclose(back.x_grid, rho.x_grid, rtol=0, atol=1e-12)
 
     def test_density_matrix_csv(self, tmp_path):
-        rho = gaussian_pure_state(X_GRID, sigma=1.5, momentum=0.3)
+        rho = pure_gaussian(X_GRID, sigma=1.5, momentum=0.3)
         path = tmp_path / "rho.csv"
         io.density_matrix_to_csv(rho, path)
         back = io.density_matrix_from_csv(path)
@@ -53,7 +58,7 @@ class TestIoRoundTrips:
     def test_malformed_matrix_csv_rejected(self, tmp_path, edit, capsys):
         src = tmp_path / "rho.csv"
         io.density_matrix_to_csv(
-            gaussian_pure_state(np.linspace(-2.0, 2.0, 5), sigma=1.0), src)
+            pure_gaussian(np.linspace(-2.0, 2.0, 5), sigma=1.0), src)
         header, *rows = src.read_text().splitlines()
         src.write_text("\n".join([header, *edit(rows)]) + "\n")
         with pytest.raises(ValueError, match="one row per"):
@@ -152,6 +157,57 @@ class TestParsing:
         assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         manifest = io.read_json(tmp_path / "o" / "manifest.json")
         assert manifest["params"]["n_steps"] == 4096
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("typo.cfg", "n_step = 1024\n", "n_step"),
+        ("list.json", "[4096, 7]\n", "object"),
+        ("params.json", '{"params": [4096]}\n', "object"),
+        ("types.json", '{"n_steps": [4096]}\n', "n_steps"),
+    ], ids=["unknown_key", "json_list", "json_params_list", "json_value_type"])
+    def test_bad_config_rejected(self, tmp_path, name, text, message, capsys):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["field", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFiniteInput:
+    """NaN and infinity are refused before any work, with exit 2 and no outputs."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        rho = superposed_gaussians(X_GRID, sigma=1.0, separation=4.0)
+        io.density_matrix_to_json(rho, tmp_path / "rho.json")
+        obj = io.read_json(tmp_path / "rho.json")
+        obj["entries"][0] = [float("nan"), 0.0]
+        io.write_json(tmp_path / "nan_rho.json", obj)
+        (tmp_path / "g1.csv").write_text("0,1\n1,nan\n2,0.3\n4,0\n")
+        (tmp_path / "run.cfg").write_text("flight-time = inf\n")
+        return {name: str(tmp_path / name)
+                for name in ("rho.json", "nan_rho.json", "g1.csv", "run.cfg")}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["field", "--tau", "nan"], "tau must be finite"),
+        (["field", "--g1-table", "g1.csv"], "must be finite"),
+        (["mc", "--a0", "nan", "--dx", "1", "--t-list", "16,24,32,40",
+          "--n-samples", "100"], "a0 must be finite"),
+        (["kernel", "--a0", "nan"], "a0 must be finite"),
+        (["kernel", "--dx-list", "0,nan"], "dx_list must be finite"),
+        (["kernel", "--g1-table", "g1.csv"], "must be finite"),
+        (["evolve", "--input", "rho.json", "--t", "inf"], "t must be finite"),
+        (["evolve", "--input", "nan_rho.json"], "must be finite"),
+        (["bound", "--mass-amu", "nan"], "mass_amu must be finite"),
+        (["bound", "--config", "run.cfg"], "flight_time must be finite"),
+    ], ids=["field", "field_table", "mc", "kernel", "kernel_list", "kernel_table",
+            "evolve", "evolve_matrix", "bound", "bound_config"])
+    def test_rejected(self, tmp_path, inputs, argv, message, capsys):
+        out = tmp_path / "o"
+        argv = [inputs.get(arg, arg) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFieldCommand:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confdec.errors import (EvenOrderRejected, IndefiniteCovariance,
-                            OutOfRange, ResolutionError)
-from confdec.field import (CorrelationModel, FieldGrid, FieldRealization,
-                           embedding_spectrum, estimate_g1, estimate_g2,
-                           field_at, odd_moment_check, sample_field)
+                            ResolutionError)
+from confdec.field import (CorrelationModel, FieldGrid, embedding_spectrum,
+                           estimate_g1, estimate_g2, odd_moment_check,
+                           sample_field)
 
 TAU = 1.0
 DT = TAU / 8.0
@@ -88,6 +88,14 @@ class TestCorrelationModel:
         with pytest.raises(ValueError):
             CorrelationModel.tabulated([0.0, 1.0], [1.0, 0.5])
 
+    @pytest.mark.parametrize("lags, values", [
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 0.0]),
+        ([0.0, 1.0, math.inf], [1.0, 0.5, 0.0]),
+    ], ids=["nan_value", "inf_lag"])
+    def test_tabulated_must_be_finite(self, lags, values):
+        with pytest.raises(ValueError, match="finite"):
+            CorrelationModel.tabulated(lags, values, tau=1.0)
+
     def test_breakpoints(self):
         assert CorrelationModel.gaussian(1.0).breakpoints() == []
         m = CorrelationModel.tabulated([0.0, 1.0, 2.0], [1.0, 0.3, 0.0])
@@ -99,7 +107,6 @@ class TestGrid:
         g = FieldGrid(dt=0.5, n_steps=4, t_start=-1.0)
         np.testing.assert_allclose(g.times(), [-1.0, -0.5, 0.0, 0.5])
         assert g.duration == pytest.approx(1.5)
-        assert g.t_end == pytest.approx(0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -199,48 +206,6 @@ class TestSampling:
         r = make_realization(n_steps=262144, seed=3)
         assert r.xi_plus.var() == pytest.approx(1.0, abs=0.05)
         assert r.xi_minus.var() == pytest.approx(1.0, abs=0.05)
-
-
-class TestFieldAt:
-    @pytest.fixture()
-    def ramp(self):
-        grid = FieldGrid(dt=1.0, n_steps=8)
-        up = np.arange(8.0)
-        return FieldRealization(grid=grid, xi_plus=up.copy(),
-                                xi_minus=up[::-1].copy(), seed=None)
-
-    def test_plus_retarded(self, ramp):
-        # plus stream is a function of t - x/c
-        assert field_at(ramp, 0.0, 3.5, "plus") == pytest.approx(3.5)
-        assert field_at(ramp, 1.0, 3.5, "plus") == pytest.approx(2.5)
-
-    def test_minus_advanced(self, ramp):
-        assert field_at(ramp, 1.0, 3.5, "minus") == pytest.approx(7.0 - 4.5)
-
-    def test_travelling_wave_shift(self, ramp):
-        # shifting x and t together leaves the plus stream unchanged
-        a = field_at(ramp, 0.5, 3.0, "plus")
-        b = field_at(ramp, 2.5, 5.0, "plus")
-        assert a == pytest.approx(b)
-
-    def test_speed_of_light_scaling(self, ramp):
-        assert field_at(ramp, 6.0, 5.0, "plus", c=2.0) == pytest.approx(2.0)
-
-    def test_out_of_range(self, ramp):
-        with pytest.raises(OutOfRange):
-            field_at(ramp, 0.0, -0.5, "plus")
-        with pytest.raises(OutOfRange):
-            field_at(ramp, 0.0, 7.5, "plus")
-        with pytest.raises(OutOfRange):
-            field_at(ramp, 1.0, 7.5, "minus")
-
-    def test_bad_direction(self, ramp):
-        with pytest.raises(ValueError):
-            field_at(ramp, 0.0, 1.0, "sideways")
-
-    def test_vectorized(self, ramp):
-        t = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(field_at(ramp, 0.0, t, "plus"), t)
 
 
 @pytest.fixture(scope="module")

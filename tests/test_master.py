@@ -9,10 +9,16 @@ from confdec.errors import QuadratureFailure, StepTooLarge
 from confdec.field import CorrelationModel
 from confdec.master import (DensityMatrix, GrwParams, closed_form_kernel,
                             decoherence_factor, evolve_pure_decoherence,
-                            evolve_with_free_hamiltonian, gaussian_pure_state,
-                            general_kernel, grw_params, superposed_gaussians)
+                            evolve_with_free_hamiltonian, general_kernel,
+                            grw_params, superposed_gaussians)
 
 GP = grw_params(1.0, 0.1, 1.0)
+
+
+def pure_gaussian(x, sigma: float, momentum: float = 0.0) -> DensityMatrix:
+    """Pure Gaussian wavepacket ``rho = psi psi*`` centred at 0, with hbar = 1."""
+    psi = np.exp(-x**2 / (4.0 * sigma**2) + 1j * momentum * x)
+    return DensityMatrix.from_unnormalized(x, np.outer(psi, psi.conj()))
 
 
 class TestGrwParams:
@@ -106,7 +112,7 @@ def grid(n=128, half_width=16.0):
 
 class TestDensityMatrix:
     def test_pure_gaussian_properties(self):
-        rho = gaussian_pure_state(grid(), sigma=1.0)
+        rho = pure_gaussian(grid(), sigma=1.0)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
         assert rho.min_eigenvalue() >= -1e-12
         # purity: integral of |rho|^2 is 1 for a pure state
@@ -114,7 +120,7 @@ class TestDensityMatrix:
         assert purity == pytest.approx(1.0, rel=1e-8)
 
     def test_momentum_phase(self):
-        rho = gaussian_pure_state(grid(), sigma=1.0, momentum=2.0)
+        rho = pure_gaussian(grid(), sigma=1.0, momentum=2.0)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(rho.entries.imag).max() > 0.0
 
@@ -134,6 +140,14 @@ class TestDensityMatrix:
         e /= np.trace(e).real * (x[1] - x[0])
         with pytest.raises(ValueError):
             DensityMatrix(x_grid=x, entries=e)
+
+    @pytest.mark.parametrize("field", ["x_grid", "entries"])
+    def test_non_finite_rejected(self, field):
+        x = grid(n=8, half_width=4.0)
+        inputs = {"x_grid": x, "entries": np.eye(8, dtype=complex) / (8 * (x[1] - x[0]))}
+        inputs[field][-1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(**inputs)
 
     def test_bad_trace_rejected(self):
         x = grid(n=8, half_width=4.0)
@@ -158,7 +172,7 @@ class TestDensityMatrix:
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_entries_read_only(self):
-        rho = gaussian_pure_state(grid(), sigma=1.0)
+        rho = pure_gaussian(grid(), sigma=1.0)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 1.0
 
@@ -206,7 +220,7 @@ class TestPureDecoherence:
         assert abs(ev.entries[i, j]) < 1e-30 * abs(rho.entries[i, j])
 
     def test_negative_time_rejected(self):
-        rho = gaussian_pure_state(grid(), sigma=1.0)
+        rho = pure_gaussian(grid(), sigma=1.0)
         with pytest.raises(ValueError):
             evolve_pure_decoherence(rho, GP, -1.0)
 
@@ -223,7 +237,7 @@ class TestSplitStep:
         # lambda = 0: pure free evolution must reproduce
         # sigma^2(t) = sigma0^2 + (hbar t / (2 m sigma0))^2
         x = grid(n=256, half_width=24.0)
-        rho = gaussian_pure_state(x, sigma=1.0)
+        rho = pure_gaussian(x, sigma=1.0)
         free = GrwParams(lambda_grw=0.0, alpha=8.0)
         ev = evolve_with_free_hamiltonian(rho, free, mass=1.0, dt=0.05,
                                           n_steps=40)
@@ -243,7 +257,7 @@ class TestSplitStep:
 
     def test_momentum_transport(self):
         x = grid(n=256, half_width=24.0)
-        rho = gaussian_pure_state(x, sigma=2.0, momentum=1.5)
+        rho = pure_gaussian(x, sigma=2.0, momentum=1.5)
         free = GrwParams(lambda_grw=0.0, alpha=8.0)
         ev = evolve_with_free_hamiltonian(rho, free, mass=1.0, dt=0.05,
                                           n_steps=40)
@@ -258,12 +272,12 @@ class TestSplitStep:
             evolve_with_free_hamiltonian(rho, GP, mass=0.2, dt=2.0, n_steps=4)
 
     def test_zero_steps_identity(self):
-        rho = gaussian_pure_state(grid(), sigma=1.0)
+        rho = pure_gaussian(grid(), sigma=1.0)
         ev = evolve_with_free_hamiltonian(rho, GP, mass=1.0, dt=0.1, n_steps=0)
         assert ev is rho
 
     def test_validation(self):
-        rho = gaussian_pure_state(grid(), sigma=1.0)
+        rho = pure_gaussian(grid(), sigma=1.0)
         with pytest.raises(ValueError):
             evolve_with_free_hamiltonian(rho, GP, mass=-1.0, dt=0.1, n_steps=2)
         with pytest.raises(ValueError):

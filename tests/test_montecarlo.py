@@ -6,12 +6,11 @@ import pytest
 from confdec.core import NATURAL
 from confdec.errors import (FitDegenerate, InsufficientSamples, OutOfRange,
                             UndersampledSignal)
-from confdec.field import (CorrelationModel, FieldGrid, FieldRealization,
-                           embedding_spectrum, field_at, sample_field)
+from confdec.field import (FieldGrid, FieldRealization, embedding_spectrum,
+                           sample_field)
 from confdec.montecarlo import (CoherenceEstimate, CoherenceRecord, McParams,
                                 _mc_grid, accumulate_phase, coherence_mc,
-                                fit_decoherence_rate, predicted_mean_phase,
-                                sample_phase_differences, sample_phases)
+                                fit_decoherence_rate, sample_phases)
 
 
 def default_params(**kw):
@@ -21,27 +20,39 @@ def default_params(**kw):
     return McParams(**base)
 
 
-def four_pattern_coherences(params: McParams, t: float, t_index: int = 0) -> np.ndarray:
-    """Per-draw ``z_j``: ``exp(i dphi)`` averaged over the four stream-sign patterns.
+SIGN_PATTERNS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
 
-    Each draw is rebuilt with the public field API and its phases are
-    accumulated on realizations with negated ``xi_plus``/``xi_minus`` arrays.
+
+def reference_phases(params: McParams, t: float, t_index: int = 0) -> np.ndarray:
+    """Every draw's phases by direct quadrature: ``(n_samples, 2 positions, 4 patterns)``.
+
+    Each draw is rebuilt with ``sample_field`` from its ``(seed, t_index, j)``
+    key.  At each position x it reads xi+ at t' - x/c and xi- at t' + x/c,
+    for the nodes t' of [0, t], with ``np.interp`` and, for each stream-sign
+    pattern of ``SIGN_PATTERNS``, integrates the potential
+    ``a0 s + a0^2 s^2 / 2`` with an explicit trapezoid.
     """
-    grid, _, _ = _mc_grid(params, t)
-    x_a, x_b = params.positions
-    z = np.empty(params.n_samples, dtype=complex)
+    grid, _, k_t = _mc_grid(params, t)
+    dt, c = params.dt_effective, params.constants.c
+    times, nodes = grid.times(), np.arange(k_t + 1) * dt
+    weights = np.full(k_t + 1, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    pref = -params.mass * c**2 / params.constants.hbar
+    out = np.empty((params.n_samples, 2, len(SIGN_PATTERNS)))
     for j in range(params.n_samples):
         r = sample_field(params.model, grid, (params.seed, t_index, j))
-        total = 0.0j
-        for s_plus in (1.0, -1.0):
-            for s_minus in (1.0, -1.0):
-                flipped = FieldRealization(grid=grid, xi_plus=s_plus * r.xi_plus,
-                                           xi_minus=s_minus * r.xi_minus, seed=None)
-                dphi = (accumulate_phase(flipped, x_b, t, params)
-                        - accumulate_phase(flipped, x_a, t, params))
-                total += np.exp(1j * dphi)
-        z[j] = total / 4.0
-    return z
+        for i, x in enumerate(params.positions):
+            plus = np.interp(nodes - x / c, times, r.xi_plus)
+            minus = np.interp(nodes + x / c, times, r.xi_minus)
+            s = SIGN_PATTERNS[:, :1] * plus + SIGN_PATTERNS[:, 1:] * minus
+            out[j, i] = pref * ((params.a0 * s + 0.5 * params.a0**2 * s * s) @ weights)
+    return out
+
+
+def four_pattern_coherences(params: McParams, t: float, t_index: int = 0) -> np.ndarray:
+    """Per-draw ``z_j``: ``exp(i dphi)`` averaged over the four stream-sign patterns."""
+    phases = reference_phases(params, t, t_index)
+    return np.exp(1j * (phases[:, 1] - phases[:, 0])).mean(axis=1)
 
 
 def projected_stderr(z: np.ndarray) -> float:
@@ -90,8 +101,7 @@ def constant_realization(value_plus, value_minus, dt=0.125, k0=24, k_t=8):
     grid = FieldGrid(dt=dt, n_steps=2 * k0 + k_t + 1, t_start=-k0 * dt)
     return FieldRealization(grid=grid,
                             xi_plus=np.full(grid.n_steps, value_plus),
-                            xi_minus=np.full(grid.n_steps, value_minus),
-                            seed=None)
+                            xi_minus=np.full(grid.n_steps, value_minus))
 
 
 class TestPhaseAccumulation:
@@ -110,18 +120,17 @@ class TestPhaseAccumulation:
         assert phi2 == pytest.approx(2.0 * phi1, rel=1e-12)
 
     def test_against_field_at_quadrature(self):
-        # independent reimplementation: evaluate the potential via field_at
-        # and integrate with an explicit trapezoid
-        p = default_params(positions=(0.0, 1.0), t_list=(16.0,))
-        r = sample_field(p.model, _mc_grid(p, 16.0)[0], 123)
-        for x in (0.0, 1.0, 0.4375):
-            t_nodes = np.arange(0.0, 16.0 + 1e-12, p.dt_effective)
-            s = (field_at(r, x, t_nodes, "plus")
-                 + field_at(r, x, t_nodes, "minus"))
-            integrand = p.a0 * s + 0.5 * p.a0**2 * s * s
-            manual = -(integrand.sum() - 0.5 * (integrand[0] + integrand[-1])) \
-                * p.dt_effective
-            assert accumulate_phase(r, x, 16.0, p) == pytest.approx(manual, rel=1e-10)
+        # independent reimplementation, on and off the grid nodes: half a
+        # step (x = 0.4375) and a quarter step (x = 0.40625) off
+        for positions in ((0.0, 1.0), (0.4375, 0.40625)):
+            p = default_params(positions=positions, t_list=(16.0,), n_samples=2)
+            ref = reference_phases(p, 16.0)[:, :, 0]
+            grid, _, _ = _mc_grid(p, 16.0)
+            for j in range(p.n_samples):
+                r = sample_field(p.model, grid, (p.seed, 0, j))
+                for i, x in enumerate(positions):
+                    assert accumulate_phase(r, x, 16.0, p) == pytest.approx(
+                        ref[j, i], rel=1e-10)
 
     def test_window_not_covered(self):
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,))
@@ -141,8 +150,7 @@ class TestPhaseAccumulation:
     def test_grid_without_zero_node(self):
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,))
         grid = FieldGrid(dt=0.125, n_steps=64, t_start=-0.0625)
-        r = FieldRealization(grid=grid, xi_plus=np.zeros(64),
-                             xi_minus=np.zeros(64), seed=None)
+        r = FieldRealization(grid=grid, xi_plus=np.zeros(64), xi_minus=np.zeros(64))
         with pytest.raises(ValueError):
             accumulate_phase(r, 0.0, 1.0, p)
 
@@ -163,9 +171,9 @@ class TestSampling:
 
     def test_t_index_separates_ensembles(self):
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=8)
-        d0 = sample_phase_differences(p, 16.0, t_index=0)
-        d1 = sample_phase_differences(p, 16.0, t_index=1)
-        assert not np.allclose(d0, d1)
+        phi_a0, phi_b0 = sample_phases(p, 16.0, t_index=0)
+        phi_a1, phi_b1 = sample_phases(p, 16.0, t_index=1)
+        assert not np.allclose(phi_b0 - phi_a0, phi_b1 - phi_a1)
 
     def test_zero_separation_coherence_is_exactly_one(self):
         p = default_params(positions=(3.0, 3.0), t_list=(100.0,), n_samples=150)
@@ -179,7 +187,7 @@ class TestSampling:
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=3000,
                            seed=2024)
         phi_a, _ = sample_phases(p, 16.0)
-        target = predicted_mean_phase(p, 16.0)
+        target = -(p.mass * p.constants.c**2 / p.constants.hbar) * p.a0**2 * 16.0
         assert target == pytest.approx(-0.01 * 16.0)
         se = phi_a.std(ddof=1) / math.sqrt(phi_a.size)
         assert abs(phi_a.mean() - target) <= 4.0 * se
@@ -187,7 +195,8 @@ class TestSampling:
     def test_mean_phase_difference_vanishes(self):
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=3000,
                            seed=2025)
-        d = sample_phase_differences(p, 16.0)
+        phi_a, phi_b = sample_phases(p, 16.0)
+        d = phi_b - phi_a
         se = d.std(ddof=1) / math.sqrt(d.size)
         assert abs(d.mean()) <= 4.0 * se
 
@@ -290,8 +299,8 @@ def test_coherence_matches_exact_characteristic_function():
     p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=20000,
                        seed=31415)
     exact = exact_characteristic_function(p, 16.0)
-    d = sample_phase_differences(p, 16.0)
-    z = np.exp(1j * d)
+    phi_a, phi_b = sample_phases(p, 16.0)
+    z = np.exp(1j * (phi_b - phi_a))
     se_re = z.real.std(ddof=1) / math.sqrt(z.size)
     se_im = z.imag.std(ddof=1) / math.sqrt(z.size)
     assert abs(z.real.mean() - exact.real) <= 4.0 * se_re
