@@ -14,10 +14,10 @@ from .bounds import (CosmoSourceParams, CutoffModel, ExperimentParams,
                      lambda_bound, mode_density, predicted_contrast_loss,
                      zero_point_energy_density)
 from .core import NATURAL, SI, PhysicalConstants
-from .errors import (ConfdecError, EvenOrderRejected, FitDegenerate,
-                     IndefiniteCovariance, InsufficientSamples, OutOfRange,
-                     QuadratureFailure, ResolutionError, StepTooLarge,
-                     SubPlanckCutoff, UndersampledSignal)
+from .errors import (ConfdecError, FitDegenerate, IndefiniteCovariance,
+                     InsufficientSamples, OutOfRange, QuadratureFailure,
+                     ResolutionError, StepTooLarge, SubPlanckCutoff,
+                     UndersampledSignal)
 from .field import (CorrelationEstimate, CorrelationModel, FieldGrid,
                     FieldRealization, estimate_g1, estimate_g2,
                     odd_moment_check, sample_field)
@@ -32,7 +32,7 @@ from .montecarlo import (CoherenceEstimate, CoherenceRecord, McParams, RateFit,
 __all__ = [
     "__version__",
     "ConfdecError", "ResolutionError",
-    "IndefiniteCovariance", "OutOfRange", "EvenOrderRejected",
+    "IndefiniteCovariance", "OutOfRange",
     "InsufficientSamples", "UndersampledSignal", "FitDegenerate",
     "QuadratureFailure", "StepTooLarge", "SubPlanckCutoff",
     "PhysicalConstants", "SI", "NATURAL",

@@ -111,11 +111,11 @@ class ExperimentParams:
     separation: float | None = None
 
     def __post_init__(self):
-        if self.mass_amu <= 0 or self.flight_time <= 0:
+        if not (self.mass_amu > 0 and self.flight_time > 0):
             raise ValueError("mass_amu and flight_time must be positive")
         if not 0.0 < self.contrast_loss < 1.0:
             raise ValueError("contrast_loss must lie in (0, 1)")
-        if self.separation is not None and self.separation <= 0:
+        if self.separation is not None and not self.separation > 0:
             raise ValueError("separation must be positive when given")
 
 
@@ -134,9 +134,9 @@ class CosmoSourceParams:
     amplitude: float | None = None
 
     def __post_init__(self):
-        if min(self.energy_density_limit, self.correlation_time) <= 0:
+        if not (self.energy_density_limit > 0 and self.correlation_time > 0):
             raise ValueError("energy density limit and correlation time must be positive")
-        if self.amplitude is not None and self.amplitude < 0:
+        if self.amplitude is not None and not self.amplitude >= 0:
             raise ValueError("amplitude must be non-negative")
 
     def resolved_amplitude(self, constants: PhysicalConstants = SI) -> float:

@@ -39,8 +39,10 @@ from .montecarlo import McParams, coherence_mc, fit_decoherence_rate
 
 FLIST = "float_list"
 
+TABLE_TAU_HELP = "correlation time (default 1.0; with --g1-table, the table's 1/e lag)"
+
 FIELD_SPECS = [
-    ("tau", float, 1.0, "correlation time"),
+    ("tau", float, None, TABLE_TAU_HELP),
     ("dt", float, None, "grid step (default tau/8)"),
     ("n_steps", int, 32768, "number of grid points"),
     ("seed", int, 42, "RNG seed"),
@@ -64,7 +66,7 @@ MC_SPECS = [
 ]
 
 KERNEL_SPECS = [
-    ("tau", float, 1.0, "correlation time"),
+    ("tau", float, None, TABLE_TAU_HELP),
     ("a0", float, 0.1, "fluctuation amplitude"),
     ("mass", float, 1.0, "particle mass"),
     ("dx_list", FLIST, [0.0, 0.25, 0.5, 1.0, 2.0, 5.0], "separations for factor curves"),
@@ -211,14 +213,21 @@ def _finish(command, params, out: Path, outputs, summary, failure=None) -> int:
 
 
 def _correlation_model(params) -> CorrelationModel:
-    if params.get("g1_table"):
+    """The run's g1, with an unset ``tau`` resolved and written back to ``params``.
+
+    A ``--g1-table`` run without ``--tau`` takes the table's 1/e lag, a
+    Gaussian one tau = 1; the manifest then records the tau that was used.
+    """
+    if params["g1_table"]:
         rows = np.loadtxt(params["g1_table"], delimiter=",", ndmin=2)
         if rows.shape[1] != 2:
             raise ValueError(f"g1 table rows must be (lag, value) pairs, "
                              f"got {rows.shape[1]} column(s)")
-        return CorrelationModel.tabulated(rows[:, 0], rows[:, 1],
-                                          tau=params.get("tau"))
-    return CorrelationModel.gaussian(params["tau"])
+        model = CorrelationModel.tabulated(rows[:, 0], rows[:, 1], tau=params["tau"])
+    else:
+        model = CorrelationModel.gaussian(1.0 if params["tau"] is None else params["tau"])
+    params["tau"] = model.tau
+    return model
 
 
 def cmd_field(params) -> int:

@@ -23,10 +23,6 @@ class OutOfRange(ConfdecError):
     """Field lookup outside the sampled interval."""
 
 
-class EvenOrderRejected(ConfdecError):
-    """Moment check asked for an even order; only odd orders are meaningful."""
-
-
 class InsufficientSamples(ConfdecError):
     """Monte Carlo ensemble smaller than the minimum (100 samples)."""
 
@@ -55,7 +51,6 @@ VALIDATION_ERRORS = (
     ResolutionError,
     IndefiniteCovariance,
     OutOfRange,
-    EvenOrderRejected,
     InsufficientSamples,
     FitDegenerate,
     SubPlanckCutoff,

@@ -31,7 +31,7 @@ _HALVING_TOL = 1e-6
 def grw_params(mass: float, a0: float, tau: float,
                constants: PhysicalConstants = NATURAL) -> "GrwParams":
     """Localization rate and scale implied by the fluctuation model."""
-    if mass <= 0 or a0 <= 0 or tau <= 0:
+    if not (mass > 0 and a0 > 0 and tau > 0):
         raise ValueError("mass, a0 and tau must be positive")
     c, hbar = constants.c, constants.hbar
     lam = math.sqrt(math.pi / 2.0) * mass**2 * c**4 * a0**4 * tau / hbar**2
@@ -47,7 +47,7 @@ class GrwParams:
     alpha: float
 
     def __post_init__(self):
-        if self.lambda_grw < 0 or self.alpha <= 0:
+        if not (self.lambda_grw >= 0 and self.alpha > 0):
             raise ValueError("lambda_grw must be >= 0 and alpha > 0")
 
     def rate(self, delta_x):

@@ -47,19 +47,17 @@ class McParams:
     """Configuration of one Monte Carlo coherence run.
 
     positions
-        Pair ``(x, x')`` whose phase difference is tracked.  A position that
-        is not a whole number of steps ``c dt`` reads the streams by linear
-        interpolation between nodes, which biases the rate low.  From the
-        exact characteristic function with those interpolation weights, at
-        ``a0 = 0.1`` and ``dt = tau/8``, the slope of ``-ln|C|`` from T = 48
-        to 96 is off ``GrwParams.rate`` by -0.02% at dx = 1 (on a node),
-        -0.48% at dx = 1.03125 (a quarter step off) and -0.61% at
-        dx = 1.0625 (half a step off).
+        Pair ``(x, x')`` whose phase difference is tracked.  Each must be a
+        whole number of steps ``c dt``, so that the light-cone windows
+        t -/+ x/c read the streams at grid nodes.
     t_list
-        Flight times; each must be a multiple of ``dt`` and exceed
+        Flight times; each must be a whole number of steps ``dt`` and exceed
         ``10 |x - x'| / c`` so edge effects stay subdominant.
     dt
         Integration step, defaulting to ``tau / 8``.
+
+    A position or flight time off a node raises ``ValueError``: reading the
+    streams between nodes would bias the rate.
     """
 
     a0: float
@@ -73,14 +71,14 @@ class McParams:
     constants: PhysicalConstants = dc_field(default_factory=lambda: NATURAL)
 
     def __post_init__(self):
-        if self.a0 <= 0:
+        if not self.a0 > 0:
             raise ValueError("a0 must be positive")
         if self.a0 > 0.2:
             raise ValueError("a0 > 0.2 is outside the perturbative regime")
         if self.a0 > 0.1:
             warnings.warn("a0 > 0.1: quartic-order corrections may be visible",
                           stacklevel=2)
-        if self.mass <= 0 or self.tau <= 0:
+        if not (self.mass > 0 and self.tau > 0):
             raise ValueError("mass and tau must be positive")
         if len(self.positions) != 2:
             raise ValueError("positions must be a pair (x, x')")
@@ -88,17 +86,17 @@ class McParams:
         object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
         if not self.t_list:
             raise ValueError("t_list must not be empty")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
         _check_resolution(self.model, self.dt_effective)
+        for x in self.positions:
+            _whole_steps(x, self.constants.c * self.dt_effective, "position", "c*dt")
         dx_time = abs(self.positions[1] - self.positions[0]) / self.constants.c
         for t in self.t_list:
             if t <= 10.0 * dx_time:
                 raise ValueError(
                     f"T = {t} must exceed 10 |x - x'| / c = {10.0 * dx_time}")
-            steps = t / self.dt_effective
-            if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-                raise ValueError(f"T = {t} is not a multiple of dt = {self.dt_effective}")
+            _whole_steps(t, self.dt_effective, "T")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -136,6 +134,19 @@ class RateFit:
     intercept: float
 
 
+def _whole_steps(value: float, step: float, name: str, step_name: str = "dt") -> int:
+    """``value / step`` as an int; ``ValueError`` unless it is a finite whole number.
+
+    The one rule for lying on a grid node, within a relative 1e-9.
+    """
+    steps = value / step
+    if not (math.isfinite(steps)
+            and abs(steps - round(steps)) <= 1e-9 * max(1.0, abs(steps))):
+        raise ValueError(f"{name} = {value} is not a whole number of steps "
+                         f"{step_name} = {step}")
+    return int(round(steps))
+
+
 def _mc_grid(params: McParams, t: float):
     """Realization grid covering [-max|x|/c - 2 tau, T + max|x|/c + 2 tau].
 
@@ -146,28 +157,16 @@ def _mc_grid(params: McParams, t: float):
     margin = (max(abs(x) for x in params.positions) / params.constants.c
               + _GRID_MARGIN_TAUS * params.tau)
     k0 = int(math.ceil(margin / dt - 1e-9))
-    k_t = int(round(t / dt))
+    k_t = _whole_steps(t, dt, "T")
     grid = FieldGrid(dt=dt, n_steps=2 * k0 + k_t + 1, t_start=-k0 * dt)
     return grid, k0, k_t
 
 
-def _shifted_segment(arr: np.ndarray, k0: int, k_t: int, offset: float) -> np.ndarray:
-    """Slice ``arr`` at fractional indices ``k0 + offset + (0..k_t)``.
-
-    Works on the last axis; linear interpolation between neighbors when the
-    offset is not a whole number of steps.
-    """
-    q0 = k0 + offset
-    base = int(math.floor(q0 + 1e-12))
-    w = q0 - base
-    n = arr.shape[-1]
-    need_hi = base + k_t + (1 if w > 1e-12 else 0)
-    if base < 0 or need_hi > n - 1:
+def _shifted_segment(arr: np.ndarray, start: int, k_t: int) -> np.ndarray:
+    """Last-axis slice ``start .. start + k_t``; ``OutOfRange`` if not covered."""
+    if start < 0 or start + k_t > arr.shape[-1] - 1:
         raise OutOfRange("realization does not cover the shifted integration window")
-    if w <= 1e-12:
-        return arr[..., base:base + k_t + 1]
-    return ((1.0 - w) * arr[..., base:base + k_t + 1]
-            + w * arr[..., base + 1:base + k_t + 2])
+    return arr[..., start:start + k_t + 1]
 
 
 def _trapz(f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
@@ -186,9 +185,9 @@ def _integrals_at(xi_p, xi_m, k0, k_t, params: McParams, x: float) -> np.ndarray
     array: the trapezoid integrals (in units of ``dt``) of p, m, p^2, m^2
     and p*m.
     """
-    shift = x / (params.constants.c * params.dt_effective)
-    p = _shifted_segment(xi_p, k0, k_t, -shift)
-    m = _shifted_segment(xi_m, k0, k_t, +shift)
+    shift = _whole_steps(x, params.constants.c * params.dt_effective, "position", "c*dt")
+    p = _shifted_segment(xi_p, k0 - shift, k_t)
+    m = _shifted_segment(xi_m, k0 + shift, k_t)
     return np.stack([_trapz(p), _trapz(m), _trapz(p, p), _trapz(m, m),
                      _trapz(p, m)])
 
@@ -222,18 +221,14 @@ def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
                      params: McParams) -> float:
     """Phase accumulated at position ``x`` from t = 0 to ``t_final``.
 
-    The realization grid must contain t = 0 as a node and cover the shifted
-    window for this position (``OutOfRange`` otherwise).
+    The realization start (so that t = 0 is a node), ``t_final`` and ``x``
+    must be whole numbers of steps (``ValueError`` otherwise), and the
+    realization must cover the shifted window for this position
+    (``OutOfRange`` otherwise).
     """
     grid = realization.grid
-    dt = grid.dt
-    k0_f = -grid.t_start / dt
-    if abs(k0_f - round(k0_f)) > 1e-9:
-        raise ValueError("realization grid does not contain t = 0 as a node")
-    steps = t_final / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
-        raise ValueError(f"t_final = {t_final} is not a multiple of dt = {dt}")
-    k0, k_t = int(round(k0_f)), int(round(steps))
+    k0 = -_whole_steps(grid.t_start, grid.dt, "realization start t_start")
+    k_t = _whole_steps(t_final, grid.dt, "t_final")
     if k_t < 1:
         raise ValueError("t_final must be at least one step")
     return float(_phase(_integrals_at(realization.xi_plus[None, :],

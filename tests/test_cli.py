@@ -224,6 +224,26 @@ class TestFieldCommand:
         summary = io.read_json(d1 / "summary.json")
         assert all(summary["checks"].values())
 
+    @pytest.mark.parametrize("command", ["field", "kernel"])
+    def test_table_tau_inferred_and_recorded(self, tmp_path, command):
+        # without --tau a table sets its own tau, the first lag below 1/e;
+        # the manifest records it, so a replay uses the same tau
+        lags = np.arange(101) * 0.01
+        (tmp_path / "g1.csv").write_text("".join(
+            f"{lag:.17g},{v:.17g}\n" for lag, v in zip(lags, np.exp(-(lags / 0.25) ** 2))))
+        argv = [command, "--g1-table", str(tmp_path / "g1.csv")]
+        if command == "kernel":
+            argv += ["--dx-list", "0,1", "--compare-t", "100"]
+        d1, d2 = tmp_path / "one", tmp_path / "two"
+        assert main(argv + ["--out", str(d1)]) == 0
+        assert main([command, "--config", str(d1 / "manifest.json"),
+                     "--out", str(d2)]) == 0
+        manifest = io.read_json(d1 / "manifest.json")
+        assert manifest["params"]["tau"] == 0.26
+        assert io.read_json(d1 / "summary.json")["inputs"]["tau"] == 0.26
+        for path in d1.iterdir():
+            assert read_bytes(path) == read_bytes(d2 / path.name), path.name
+
     def test_unordered_table_rejected(self, tmp_path, capsys):
         table = tmp_path / "g1.csv"
         table.write_text("0,1\n2,0.6\n1,0.8\n4,0\n")
@@ -254,6 +274,13 @@ class TestMcCommand:
                    "--n-samples", "100", "--out", str(tmp_path)])
         assert rc == 2
         capsys.readouterr()
+
+    def test_off_node_separation_rejected(self, tmp_path, capsys):
+        # a quarter step c*dt off a node, refused before any draw
+        out = tmp_path / "o"
+        assert main(["mc", "--dx", "1.03125", "--out", str(out)]) == 2
+        assert "c*dt = 0.125" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_noise_dominated_signal_is_numerical_error(self, tmp_path, capsys):
         # heavy mass drives the coherence to ~1e-5, far below the n=100

@@ -86,6 +86,12 @@ class TestParams:
         with pytest.raises(ValueError):
             default_params(t_list=(100.06,))
 
+    @pytest.mark.parametrize("positions", [(0.0, 0.4375), (0.40625, 1.0)],
+                             ids=["half_step_off", "quarter_step_off"])
+    def test_positions_on_nodes(self, positions):
+        with pytest.raises(ValueError, match="c\\*dt = 0.125"):
+            default_params(positions=positions, t_list=(16.0,))
+
     def test_dt_resolution(self):
         with pytest.raises(Exception):
             default_params(dt=0.5)
@@ -120,9 +126,8 @@ class TestPhaseAccumulation:
         assert phi2 == pytest.approx(2.0 * phi1, rel=1e-12)
 
     def test_against_field_at_quadrature(self):
-        # independent reimplementation, on and off the grid nodes: half a
-        # step (x = 0.4375) and a quarter step (x = 0.40625) off
-        for positions in ((0.0, 1.0), (0.4375, 0.40625)):
+        # independent reimplementation, at positions on either side of x = 0
+        for positions in ((0.0, 1.0), (0.5, -0.25)):
             p = default_params(positions=positions, t_list=(16.0,), n_samples=2)
             ref = reference_phases(p, 16.0)[:, :, 0]
             grid, _, _ = _mc_grid(p, 16.0)
@@ -140,6 +145,14 @@ class TestPhaseAccumulation:
         with pytest.raises(OutOfRange):
             # the advanced (minus) lookup at x = 1 pushes past the grid end
             accumulate_phase(r, 1.0, 3.5, p)
+
+    @pytest.mark.parametrize("x", [0.4375, 0.40625],
+                             ids=["half_step_off", "quarter_step_off"])
+    def test_position_not_on_grid(self, x):
+        p = default_params(positions=(0.0, 1.0), t_list=(16.0,))
+        r = constant_realization(1.0, 0.0)
+        with pytest.raises(ValueError, match="position"):
+            accumulate_phase(r, x, 1.0, p)
 
     def test_t_not_on_grid(self):
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,))
