@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of every confdec output on small fixed inputs.
+
+Runs each CLI subcommand once, replays it from its manifest.json, and
+digests the Monte Carlo coherence records of a 300-draw run at dx = 5 and
+dx = 0.25.  Two checkouts that print the same lines produce the same bytes;
+diff the output of the two to check that a change leaves results unchanged.
+Runs in a temporary directory and takes a few seconds.
+"""
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from confdec import io as cio
+from confdec.cli import main as cli_main
+from confdec.master import superposed_gaussians
+from confdec.montecarlo import McParams, coherence_mc
+
+# (name, argv); input paths are relative to the working directory so that
+# every manifest, and so every digest, is the same wherever the script runs
+RUNS = [
+    ("field", ["field", "--n-steps", "1000"]),
+    ("mc", ["mc", "--n-samples", "100"]),
+    ("kernel", ["kernel", "--dx-list", "0,1,5", "--compare-t", "100"]),
+    ("kernel-tabulated", ["kernel", "--dx-list", "0,1,5", "--compare-t", "100",
+                          "--g1-table", "g1.csv"]),
+    ("evolve", ["evolve", "--input", "rho.json"]),
+    ("evolve-kinetic", ["evolve", "--input", "rho.csv", "--kinetic-mass", "1",
+                        "--dt", "0.05", "--n-steps", "4"]),
+    ("bound", ["bound", "--sweep-mass", "50,100", "--sweep-time", "0.1,1"]),
+]
+
+# (dx, T list) of the coherence_mc runs, 300 draws each at seed 901
+MC_RUNS = [(5.0, (100.0, 400.0)), (0.25, (25.0, 100.0))]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(argv):
+    """``confdec`` on ``argv``: exit code and stderr (stdout is discarded)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, err.getvalue()
+
+
+def write_inputs():
+    rho = superposed_gaussians(np.linspace(-8.0, 8.0, 33), sigma=1.0, separation=4.0)
+    cio.density_matrix_to_json(rho, "rho.json")
+    cio.density_matrix_to_csv(rho, "rho.csv")
+    lags = np.arange(121) * 0.05
+    Path("g1.csv").write_text("".join(f"{lag:.17g},{np.exp(-lag * lag):.17g}\n"
+                                      for lag in lags))
+
+
+def cli_lines():
+    for name, argv in RUNS:
+        run, replay = Path(name), Path(name + "-replay")
+        code, err = run_cli(argv + ["--out", str(run)])
+        yield f"{name} exit {code} stderr {sha256(err.encode())}"
+        for path in sorted(run.iterdir()):
+            yield f"{name}/{path.name} {sha256(path.read_bytes())}"
+        run_cli([argv[0], "--config", str(run / "manifest.json"), "--out", str(replay)])
+        same = sorted(p.name for p in run.iterdir()
+                      if (replay / p.name).is_file()
+                      and (replay / p.name).read_bytes() == p.read_bytes())
+        yield f"{name} replay identical {len(same)}/{len(list(run.iterdir()))}"
+
+
+def mc_lines():
+    for dx, t_list in MC_RUNS:
+        params = McParams(a0=0.1, mass=1.0, tau=1.0, positions=(0.0, dx),
+                          t_list=t_list, n_samples=300, seed=901)
+        records = np.array([(r.t, r.mean.real, r.mean.imag, r.stderr, r.n_samples)
+                            for r in coherence_mc(params).records])
+        yield f"coherence_mc dx={dx:g} {sha256(records.tobytes())}"
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        write_inputs()
+        for line in (*cli_lines(), *mc_lines()):
+            print(line)
+
+
+if __name__ == "__main__":
+    main()

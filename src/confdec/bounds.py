@@ -111,12 +111,12 @@ class ExperimentParams:
     separation: float | None = None
 
     def __post_init__(self):
-        if not (self.mass_amu > 0 and self.flight_time > 0):
-            raise ValueError("mass_amu and flight_time must be positive")
+        if not (0 < self.mass_amu < math.inf and 0 < self.flight_time < math.inf):
+            raise ValueError("mass_amu and flight_time must be positive and finite")
         if not 0.0 < self.contrast_loss < 1.0:
             raise ValueError("contrast_loss must lie in (0, 1)")
-        if self.separation is not None and not self.separation > 0:
-            raise ValueError("separation must be positive when given")
+        if self.separation is not None and not 0 < self.separation < math.inf:
+            raise ValueError("separation must be positive and finite when given")
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,11 @@ class CosmoSourceParams:
     amplitude: float | None = None
 
     def __post_init__(self):
-        if not (self.energy_density_limit > 0 and self.correlation_time > 0):
+        if not (0 < self.energy_density_limit < math.inf
+                and 0 < self.correlation_time < math.inf):
             raise ValueError("energy density limit and correlation time must be positive")
-        if self.amplitude is not None and not self.amplitude >= 0:
-            raise ValueError("amplitude must be non-negative")
+        if self.amplitude is not None and not 0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be non-negative and finite")
 
     def resolved_amplitude(self, constants: PhysicalConstants = SI) -> float:
         """The explicit ``amplitude``, else the one derived from the density limit.
@@ -151,9 +152,12 @@ class CosmoSourceParams:
                                    self.correlation_time, constants)
 
 
-def _kernel_separation(experiment: ExperimentParams) -> float:
-    """The experiment's separation; ``inf`` (saturated kernel) when none is given."""
-    return math.inf if experiment.separation is None else experiment.separation
+def _contrast_loss(experiment: ExperimentParams, a0: float, tau: float,
+                   constants: PhysicalConstants) -> float:
+    """``grw_params(M, a0, tau).rate(dx) * T``, saturated (dx = inf) without a separation."""
+    dx = math.inf if experiment.separation is None else experiment.separation
+    gp = grw_params(experiment.mass_amu * constants.amu, a0, tau, constants)
+    return gp.rate(dx) * experiment.flight_time
 
 
 def predicted_contrast_loss(experiment: ExperimentParams, model: CutoffModel,
@@ -166,9 +170,7 @@ def predicted_contrast_loss(experiment: ExperimentParams, model: CutoffModel,
     fourth power of the amplitude and linearly in both the correlation time
     and the flight time.
     """
-    gp = grw_params(experiment.mass_amu * constants.amu, model.a0, model.tau,
-                    constants)
-    return gp.rate(_kernel_separation(experiment)) * experiment.flight_time
+    return _contrast_loss(experiment, model.a0, model.tau, constants)
 
 
 def lambda_bound(experiment: ExperimentParams,
@@ -202,9 +204,7 @@ def cosmological_feasibility(source: CosmoSourceParams,
     a0 = source.resolved_amplitude(constants)
     if a0 == 0.0:
         return 0.0
-    gp = grw_params(experiment.mass_amu * constants.amu, a0,
-                    source.correlation_time, constants)
-    return gp.rate(_kernel_separation(experiment)) * experiment.flight_time
+    return _contrast_loss(experiment, a0, source.correlation_time, constants)
 
 
 def bound_report(experiment: ExperimentParams,

@@ -35,7 +35,8 @@ from .field import (CorrelationModel, FieldGrid, estimate_g1, estimate_g2,
 from .master import (GrwParams, closed_form_kernel, decoherence_factor,
                      evolve_pure_decoherence, evolve_with_free_hamiltonian,
                      general_kernel, grw_params)
-from .montecarlo import McParams, coherence_mc, fit_decoherence_rate
+from .montecarlo import (McParams, _check_fit_times, coherence_mc,
+                         fit_decoherence_rate)
 
 FLIST = "float_list"
 
@@ -287,6 +288,7 @@ def cmd_mc(params) -> int:
                   positions=(0.0, params["dx"]), t_list=tuple(params["t_list"]),
                   n_samples=params["n_samples"], seed=params["seed"],
                   dt=params["dt"], constants=constants)
+    _check_fit_times(mc.t_list)   # before drawing, so a bad T grid writes nothing
     estimate = coherence_mc(mc)
     out = _outdir(params)
     io.coherence_to_csv(estimate, out / "coherence.csv", xlab, tlab)

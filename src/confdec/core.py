@@ -37,15 +37,6 @@ class PhysicalConstants:
     def l_planck(self) -> float:
         return self.c * self.t_planck
 
-    @classmethod
-    def si(cls) -> "PhysicalConstants":
-        return cls()
 
-    @classmethod
-    def natural(cls) -> "PhysicalConstants":
-        """Dimensionless working units with c = hbar = G = 1."""
-        return cls(c=1.0, hbar=1.0, G=1.0, amu=1.0)
-
-
-SI = PhysicalConstants.si()
-NATURAL = PhysicalConstants.natural()
+SI = PhysicalConstants()
+NATURAL = PhysicalConstants(c=1.0, hbar=1.0, G=1.0, amu=1.0)

@@ -47,8 +47,8 @@ class CorrelationModel:
     def __post_init__(self):
         if self.kind not in ("gaussian", "tabulated"):
             raise ValueError(f"unknown correlation kind {self.kind!r}")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if self.kind == "tabulated":
             if self.table is None or len(self.table) < 2:
                 raise ValueError("tabulated model needs at least two (lag, value) pairs")
@@ -138,8 +138,8 @@ class FieldGrid:
     t_start: float = 0.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
 
@@ -283,15 +283,10 @@ def _block_means(series: np.ndarray, block_len: int) -> np.ndarray:
     return series[:nb * block_len].reshape(nb, block_len).mean(axis=1)
 
 
-def _block_stderr(series: np.ndarray, block_len: int) -> float:
-    means = _block_means(series, block_len)
+def _block_stderr(block_len: int, *series: np.ndarray) -> float:
+    """Standard error of a mean from the block means of each series, blocked apart."""
+    means = np.concatenate([_block_means(x, block_len) for x in series])
     return float(means.std(ddof=1) / math.sqrt(means.size))
-
-
-def _lag_products(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    if k == 0:
-        return a * b
-    return a[:-k] * b[k:]
 
 
 def _correlation_scan(realization, max_lag, transform):
@@ -310,9 +305,9 @@ def _correlation_scan(realization, max_lag, transform):
         est = np.empty(n_lags + 1)
         err = np.empty(n_lags + 1)
         for k in range(n_lags + 1):
-            prod = _lag_products(a, b, k)
+            prod = a[:a.size - k] * b[k:]
             est[k] = prod.mean()          # unbiased: population mean is known zero
-            err[k] = _block_stderr(prod, block_len)
+            err[k] = _block_stderr(block_len, prod)
         estimates[key], stderrs[key] = est, err
     return CorrelationEstimate(lags=lags, estimates=estimates, stderrs=stderrs)
 
@@ -341,14 +336,8 @@ def odd_moment_check(realization: FieldRealization) -> list:
     Returns ``[(order, estimate, stderr), ...]``.
     """
     results = []
-    block_len = 64
     for order in (1, 3, 5):
-        means = np.concatenate([
-            _block_means(realization.xi_plus ** order, block_len),
-            _block_means(realization.xi_minus ** order, block_len),
-        ])
-        est = float(np.concatenate([realization.xi_plus ** order,
-                                    realization.xi_minus ** order]).mean())
-        stderr = float(means.std(ddof=1) / math.sqrt(means.size))
-        results.append((order, est, stderr))
+        plus, minus = realization.xi_plus ** order, realization.xi_minus ** order
+        results.append((order, float(np.concatenate([plus, minus]).mean()),
+                        _block_stderr(64, plus, minus)))
     return results

@@ -31,8 +31,8 @@ _HALVING_TOL = 1e-6
 def grw_params(mass: float, a0: float, tau: float,
                constants: PhysicalConstants = NATURAL) -> "GrwParams":
     """Localization rate and scale implied by the fluctuation model."""
-    if not (mass > 0 and a0 > 0 and tau > 0):
-        raise ValueError("mass, a0 and tau must be positive")
+    if not (0 < mass < math.inf and 0 < a0 < math.inf and 0 < tau < math.inf):
+        raise ValueError("mass, a0 and tau must be positive and finite")
     c, hbar = constants.c, constants.hbar
     lam = math.sqrt(math.pi / 2.0) * mass**2 * c**4 * a0**4 * tau / hbar**2
     alpha = 8.0 / (c * tau) ** 2
@@ -47,8 +47,8 @@ class GrwParams:
     alpha: float
 
     def __post_init__(self):
-        if not (self.lambda_grw >= 0 and self.alpha > 0):
-            raise ValueError("lambda_grw must be >= 0 and alpha > 0")
+        if not (0 <= self.lambda_grw < math.inf and 0 < self.alpha < math.inf):
+            raise ValueError("lambda_grw must be >= 0 and alpha > 0, both finite")
 
     def rate(self, delta_x):
         """Localization rate ``lambda_grw (1 - exp(-(alpha/4) dx^2))`` at separation ``delta_x``.
@@ -161,8 +161,6 @@ def evolve_pure_decoherence(rho: DensityMatrix, params: GrwParams,
     the Schur product theorem.  Composition over time intervals is exact:
     evolving t1 then t2 equals evolving t1 + t2.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
     return DensityMatrix(x_grid=rho.x_grid,
                          entries=rho.entries * _factor_matrix(rho, params, t))
 
@@ -203,8 +201,8 @@ def evolve_with_free_hamiltonian(rho: DensityMatrix, params: GrwParams,
     than 1e-6 in max entry norm the step is too coarse (``StepTooLarge``)
     and the caller should reduce ``dt``.  The finer result is returned.
     """
-    if mass <= 0 or dt <= 0:
-        raise ValueError("mass and dt must be positive")
+    if not (0 < mass < math.inf and 0 < dt < math.inf):
+        raise ValueError("mass and dt must be positive and finite")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     if n_steps == 0:
@@ -237,8 +235,8 @@ def general_kernel(g1_model: CorrelationModel, delta_x: float, t_total: float,
     ``sqrt(pi/2) (M c^2 A0^2 / hbar)^2 tau T (exp(-2 dx^2/(c tau)^2) - 1)``
     with finite-T edge terms of order tau / T.
     """
-    if t_total <= 0:
-        raise ValueError("t_total must be positive")
+    if not 0 < t_total < math.inf:
+        raise ValueError("t_total must be positive and finite")
     tau, c = g1_model.tau, constants.c
     d = abs(delta_x) / c
     if t_total < 10.0 * max(tau, d):

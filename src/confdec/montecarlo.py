@@ -78,16 +78,16 @@ class McParams:
         if self.a0 > 0.1:
             warnings.warn("a0 > 0.1: quartic-order corrections may be visible",
                           stacklevel=2)
-        if not (self.mass > 0 and self.tau > 0):
-            raise ValueError("mass and tau must be positive")
+        if not (0 < self.mass < math.inf and 0 < self.tau < math.inf):
+            raise ValueError("mass and tau must be positive and finite")
         if len(self.positions) != 2:
             raise ValueError("positions must be a pair (x, x')")
         object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
         object.__setattr__(self, "t_list", tuple(float(t) for t in self.t_list))
         if not self.t_list:
             raise ValueError("t_list must not be empty")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         _check_resolution(self.model, self.dt_effective)
         for x in self.positions:
             _whole_steps(x, self.constants.c * self.dt_effective, "position", "c*dt")
@@ -147,19 +147,14 @@ def _whole_steps(value: float, step: float, name: str, step_name: str = "dt") ->
     return int(round(steps))
 
 
-def _mc_grid(params: McParams, t: float):
-    """Realization grid covering [-max|x|/c - 2 tau, T + max|x|/c + 2 tau].
-
-    Returns ``(grid, k0, k_t)`` with ``k0`` the index of t = 0 and ``k_t``
-    the number of integration steps to T.
-    """
+def _mc_grid(params: McParams, t: float) -> FieldGrid:
+    """Realization grid covering [-max|x|/c - 2 tau, T + max|x|/c + 2 tau], t = 0 on a node."""
     dt = params.dt_effective
     margin = (max(abs(x) for x in params.positions) / params.constants.c
               + _GRID_MARGIN_TAUS * params.tau)
     k0 = int(math.ceil(margin / dt - 1e-9))
-    k_t = _whole_steps(t, dt, "T")
-    grid = FieldGrid(dt=dt, n_steps=2 * k0 + k_t + 1, t_start=-k0 * dt)
-    return grid, k0, k_t
+    return FieldGrid(dt=dt, n_steps=2 * k0 + _whole_steps(t, dt, "T") + 1,
+                     t_start=-k0 * dt)
 
 
 def _shifted_segment(arr: np.ndarray, start: int, k_t: int) -> np.ndarray:
@@ -177,43 +172,48 @@ def _trapz(f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
             - 0.5 * (f[:, 0] * g[:, 0] + f[:, -1] * g[:, -1]))
 
 
-def _integrals_at(xi_p, xi_m, k0, k_t, params: McParams, x: float) -> np.ndarray:
-    """The five stream integrals at position x for realizations stacked as (b, n).
+def _integrals_at(xi_p, xi_m, grid: FieldGrid, t: float, x: float,
+                  c: float) -> np.ndarray:
+    """The five stream integrals from 0 to t at position x, for streams stacked as (b, n).
 
-    With ``p`` and ``m`` the plus and minus streams along the light-cone
+    ``grid`` alone sets the t = 0 node, the step count and the light-cone
+    shift.  With ``p`` and ``m`` the plus and minus streams along the
     shifted window of x, returns ``(Ip, Im, Ipp, Imm, Ipm)`` as a ``(5, b)``
     array: the trapezoid integrals (in units of ``dt``) of p, m, p^2, m^2
     and p*m.
     """
-    shift = _whole_steps(x, params.constants.c * params.dt_effective, "position", "c*dt")
+    k0 = -_whole_steps(grid.t_start, grid.dt, "realization start t_start")
+    k_t = _whole_steps(t, grid.dt, "t_final")
+    if k_t < 1:
+        raise ValueError("t_final must be at least one step")
+    shift = _whole_steps(x, c * grid.dt, "position", "c*dt")
     p = _shifted_segment(xi_p, k0 - shift, k_t)
     m = _shifted_segment(xi_m, k0 + shift, k_t)
     return np.stack([_trapz(p), _trapz(m), _trapz(p, p), _trapz(m, m),
                      _trapz(p, m)])
 
 
-def _phase_terms(ints, params: McParams, sign_plus=1.0, sign_minus=1.0):
-    """Linear and quadratic parts of the phase under stream signs (s+, s-).
+def _phase_terms(ints, dt: float, params: McParams, sign_minus=1.0):
+    """Linear and quadratic parts of the phase under stream signs (+, s-).
 
-    The phase of the realization with xi+ -> s+ xi+ and xi- -> s- xi- is
+    The phase of the realization with xi- -> s- xi- is
 
-        -(M c^2 / hbar) dt [A0 (s+ Ip + s- Im)
-                            + A0^2/2 (Ipp + Imm + 2 s+ s- Ipm)],
+        -(M c^2 / hbar) dt [A0 (Ip + s- Im) + A0^2/2 (Ipp + Imm + 2 s- Ipm)],
 
     the trapezoid integral of the potential ``V = (M c^2/2)((1 + A0 s)^2 - 1)``
-    with ``s = s+ xi+ + s- xi-``; returned as ``(linear, quadratic)``.
+    with ``s = xi+ + s- xi-``; returned as ``(linear, quadratic)``.  Flipping
+    xi+ as well negates the linear part and leaves the quadratic one.
     """
     i_p, i_m, i_pp, i_mm, i_pm = ints
-    pref = -params.mass * params.constants.c**2 / params.constants.hbar \
-        * params.dt_effective
+    pref = -params.mass * params.constants.c**2 / params.constants.hbar * dt
     a0 = params.a0
-    return (pref * a0 * (sign_plus * i_p + sign_minus * i_m),
-            pref * 0.5 * a0**2 * (i_pp + i_mm + 2.0 * sign_plus * sign_minus * i_pm))
+    return (pref * a0 * (i_p + sign_minus * i_m),
+            pref * 0.5 * a0**2 * (i_pp + i_mm + 2.0 * sign_minus * i_pm))
 
 
-def _phase(ints, params: McParams) -> np.ndarray:
+def _phase(ints, dt: float, params: McParams) -> np.ndarray:
     """Phase of the realization as drawn, the identity sign pattern (+, +)."""
-    linear, quadratic = _phase_terms(ints, params)
+    linear, quadratic = _phase_terms(ints, dt, params)
     return linear + quadratic
 
 
@@ -221,19 +221,16 @@ def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
                      params: McParams) -> float:
     """Phase accumulated at position ``x`` from t = 0 to ``t_final``.
 
+    The step is the realization's ``grid.dt``, whatever ``params.dt`` says.
     The realization start (so that t = 0 is a node), ``t_final`` and ``x``
     must be whole numbers of steps (``ValueError`` otherwise), and the
     realization must cover the shifted window for this position
     (``OutOfRange`` otherwise).
     """
     grid = realization.grid
-    k0 = -_whole_steps(grid.t_start, grid.dt, "realization start t_start")
-    k_t = _whole_steps(t_final, grid.dt, "t_final")
-    if k_t < 1:
-        raise ValueError("t_final must be at least one step")
-    return float(_phase(_integrals_at(realization.xi_plus[None, :],
-                                      realization.xi_minus[None, :], k0, k_t, params, x),
-                        params)[0])
+    ints = _integrals_at(realization.xi_plus[None, :], realization.xi_minus[None, :],
+                         grid, t_final, x, params.constants.c)
+    return float(_phase(ints, grid.dt, params)[0])
 
 
 def _sample_integrals(params: McParams, t: float, t_index: int) -> np.ndarray:
@@ -242,7 +239,7 @@ def _sample_integrals(params: McParams, t: float, t_index: int) -> np.ndarray:
     Axis 0 is the position pair, axis 1 the five integrals of
     ``_integrals_at``.
     """
-    grid, k0, k_t = _mc_grid(params, t)
+    grid = _mc_grid(params, t)
     L, amp = embedding_spectrum(params.model, grid)
     ints = np.empty((2, 5, params.n_samples))
     for start in range(0, params.n_samples, _BLOCK):
@@ -250,14 +247,16 @@ def _sample_integrals(params: McParams, t: float, t_index: int) -> np.ndarray:
         xi = _draw_streams([(params.seed, t_index, j) for j in range(start, stop)],
                            L, amp, grid.n_steps)
         for out, x in zip(ints, params.positions):
-            out[:, start:stop] = _integrals_at(xi[0], xi[1], k0, k_t, params, x)
+            out[:, start:stop] = _integrals_at(xi[0], xi[1], grid, t, x,
+                                               params.constants.c)
     return ints
 
 
 def sample_phases(params: McParams, t: float, t_index: int = 0):
     """All per-sample phases ``(phi_x, phi_x')`` at flight time ``t``."""
     ints_a, ints_b = _sample_integrals(params, t, t_index)
-    return _phase(ints_a, params), _phase(ints_b, params)
+    dt = params.dt_effective
+    return _phase(ints_a, dt, params), _phase(ints_b, dt, params)
 
 
 def coherence_mc(params: McParams) -> CoherenceEstimate:
@@ -282,7 +281,8 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
         z = np.zeros(params.n_samples, dtype=complex)
         for sign_minus in (1.0, -1.0):
             (lin_a, quad_a), (lin_b, quad_b) = (
-                _phase_terms(ints, params, 1.0, sign_minus) for ints in (ints_a, ints_b))
+                _phase_terms(ints, params.dt_effective, params, sign_minus)
+                for ints in (ints_a, ints_b))
             z += np.exp(1j * (quad_b - quad_a)) * np.cos(lin_b - lin_a)
         z *= 0.5
         mean = z.mean()
@@ -291,6 +291,16 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
             t=t, mean=complex(mean), n_samples=z.size,
             stderr=float(along.std(ddof=1) / math.sqrt(z.size))))
     return CoherenceEstimate(delta_x=params.delta_x, records=tuple(records))
+
+
+def _check_fit_times(t_list) -> None:
+    """Refuse a T grid the rate fit cannot use: under 4 distinct T, or a span under 2x."""
+    ts = np.asarray(t_list, dtype=float)
+    if np.unique(ts).size < 4:
+        raise ValueError("rate fit needs at least 4 distinct T values")
+    if ts.max() < 2.0 * ts.min():
+        raise FitDegenerate(
+            f"T range [{ts.min()}, {ts.max()}] spans less than a factor of 2")
 
 
 def fit_decoherence_rate(estimate: CoherenceEstimate) -> RateFit:
@@ -303,11 +313,7 @@ def fit_decoherence_rate(estimate: CoherenceEstimate) -> RateFit:
     """
     recs = estimate.records
     ts = np.array([r.t for r in recs])
-    if np.unique(ts).size < 4:
-        raise ValueError("rate fit needs at least 4 distinct T values")
-    if ts.max() < 2.0 * ts.min():
-        raise FitDegenerate(
-            f"T range [{ts.min()}, {ts.max()}] spans less than a factor of 2")
+    _check_fit_times(ts)
     mags = np.array([abs(r.mean) for r in recs])
     errs = np.array([r.stderr for r in recs])
     if np.any(mags <= 5.0 * errs):

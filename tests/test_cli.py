@@ -270,9 +270,14 @@ class TestFieldCommand:
 
 class TestMcCommand:
     def test_too_few_times_is_validation_error(self, tmp_path, capsys):
-        rc = main(["mc", "--dx", "1", "--t-list", "16,32",
-                   "--n-samples", "100", "--out", str(tmp_path)])
-        assert rc == 2
+        # too few T, then four T spanning less than a factor of 2: both are
+        # refused before any draw, so no output directory is written
+        for t_list in ("16,32", "16,20,24,28"):
+            out = tmp_path / t_list
+            rc = main(["mc", "--dx", "1", "--t-list", t_list,
+                       "--n-samples", "100", "--out", str(out)])
+            assert rc == 2
+            assert not out.exists()
         capsys.readouterr()
 
     def test_off_node_separation_rejected(self, tmp_path, capsys):
@@ -283,9 +288,10 @@ class TestMcCommand:
         assert not out.exists()
 
     def test_noise_dominated_signal_is_numerical_error(self, tmp_path, capsys):
-        # heavy mass drives the coherence to ~1e-5, far below the n=100
-        # shot noise, so the run must refuse to fit a rate
-        rc = main(["mc", "--mass", "30", "--dx", "5", "--t-list", "100",
+        # heavy mass drives the coherence to ~1e-5 and below, far under the
+        # n=100 shot noise, so the run must refuse to fit a rate; the T grid
+        # is one the fit could use, since an unusable one is refused earlier
+        rc = main(["mc", "--mass", "30", "--dx", "5", "--t-list", "100,125,150,200",
                    "--n-samples", "100", "--out", str(tmp_path)])
         assert rc == 3
         report = io.read_json(tmp_path / "rate.json")

@@ -32,8 +32,9 @@ def reference_phases(params: McParams, t: float, t_index: int = 0) -> np.ndarray
     pattern of ``SIGN_PATTERNS``, integrates the potential
     ``a0 s + a0^2 s^2 / 2`` with an explicit trapezoid.
     """
-    grid, _, k_t = _mc_grid(params, t)
+    grid = _mc_grid(params, t)
     dt, c = params.dt_effective, params.constants.c
+    k_t = round(t / dt)
     times, nodes = grid.times(), np.arange(k_t + 1) * dt
     weights = np.full(k_t + 1, dt)
     weights[0] = weights[-1] = 0.5 * dt
@@ -113,10 +114,12 @@ def constant_realization(value_plus, value_minus, dt=0.125, k0=24, k_t=8):
 class TestPhaseAccumulation:
     def test_constant_field_closed_form(self):
         # s = 1 everywhere: integrand a0 + a0^2/2 = 0.105, so
-        # phi(T=1) = -0.105 in natural units with M = 1
+        # phi(T=1) = -0.105 in natural units with M = 1, whatever the
+        # realization's step; params.dt (0.125) must not enter
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,))
-        r = constant_realization(1.0, 0.0)
-        assert accumulate_phase(r, 0.0, 1.0, p) == pytest.approx(-0.105, rel=1e-12)
+        for r in (constant_realization(1.0, 0.0),
+                  constant_realization(1.0, 0.0, dt=0.0625, k0=48, k_t=16)):
+            assert accumulate_phase(r, 0.0, 1.0, p) == pytest.approx(-0.105, rel=1e-12)
 
     def test_constant_field_scales_with_time(self):
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,))
@@ -130,7 +133,7 @@ class TestPhaseAccumulation:
         for positions in ((0.0, 1.0), (0.5, -0.25)):
             p = default_params(positions=positions, t_list=(16.0,), n_samples=2)
             ref = reference_phases(p, 16.0)[:, :, 0]
-            grid, _, _ = _mc_grid(p, 16.0)
+            grid = _mc_grid(p, 16.0)
             for j in range(p.n_samples):
                 r = sample_field(p.model, grid, (p.seed, 0, j))
                 for i, x in enumerate(positions):
@@ -176,7 +179,7 @@ class TestSampling:
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=258)
         phi_a, phi_b = sample_phases(p, 16.0, t_index=0)
         assert phi_a.shape == phi_b.shape == (258,)
-        grid, _, _ = _mc_grid(p, 16.0)
+        grid = _mc_grid(p, 16.0)
         for j in (0, 255, 256, 257):
             r = sample_field(p.model, grid, (p.seed, 0, j))
             assert accumulate_phase(r, 0.0, 16.0, p) == phi_a[j]
@@ -264,7 +267,8 @@ def exact_characteristic_function(params: McParams, t: float) -> complex:
     eigenmodes of the covariance-whitened quadratic form.
     """
     dt = params.dt_effective
-    grid, k0, k_t = _mc_grid(params, t)
+    grid = _mc_grid(params, t)
+    k0, k_t = round(-grid.t_start / dt), round(t / dt)
     n = grid.n_steps
     L, _amp = embedding_spectrum(params.model, grid)
 

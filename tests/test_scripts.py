@@ -1,4 +1,5 @@
 """Smoke tests: each script under scripts/ runs and agrees with the library."""
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +34,14 @@ def test_rate_vs_separation(tmp_path):
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     assert rows.shape == (1, 4)
     assert rows[0, 3] == predicted
+
+
+def test_output_digests(tmp_path):
+    lines = run("output_digests.py", cwd=tmp_path).splitlines()
+    assert "mc exit 0 stderr " + hashlib.sha256(b"").hexdigest() in lines
+    assert sum(line.endswith("replay identical 3/3") for line in lines) == 4
+    assert [line.split()[1] for line in lines if line.startswith("coherence_mc")] == [
+        "dx=5", "dx=0.25"]
+    files = [line.split() for line in lines if "/" in line.split()[0]]
+    assert len(files) == 26 and all(len(digest) == 64 for _name, digest in files)
+    assert not list(tmp_path.iterdir())   # every output stays in a temporary directory

@@ -1,15 +1,15 @@
-"""Library-wide validation: NaN inputs and the CLI's mapping of error types."""
+"""Library-wide validation: NaN and infinite inputs, and the CLI's mapping of error types."""
 import math
 
+import numpy as np
 import pytest
 
 from confdec import errors
 from confdec.bounds import CosmoSourceParams, ExperimentParams
 from confdec.field import CorrelationModel, FieldGrid
-from confdec.master import GrwParams, grw_params
+from confdec.master import (GrwParams, evolve_with_free_hamiltonian, general_kernel,
+                            grw_params, superposed_gaussians)
 from confdec.montecarlo import McParams
-
-NAN = math.nan
 
 
 def mc_params(**kw):
@@ -24,37 +24,55 @@ def experiment(**kw):
                                       contrast_loss=0.03), **kw})
 
 
-# (constructor with one NaN field, a word the refusal must name)
-NAN_CASES = {
-    "FieldGrid.dt": (lambda: FieldGrid(dt=NAN, n_steps=64), "dt"),
-    "CorrelationModel.tau": (lambda: CorrelationModel.gaussian(NAN), "tau"),
-    "McParams.a0": (lambda: mc_params(a0=NAN), "a0"),
-    "McParams.mass": (lambda: mc_params(mass=NAN), "mass"),
+def rho():
+    return superposed_gaussians(np.linspace(-4.0, 4.0, 17), sigma=1.0, separation=2.0)
+
+
+# (constructor with one field set to the bad value v, a word the refusal must name)
+BAD_VALUE_CASES = {
+    "FieldGrid.dt": (lambda v: FieldGrid(dt=v, n_steps=64), "dt"),
+    "CorrelationModel.tau": (lambda v: CorrelationModel.gaussian(v), "tau"),
+    "McParams.a0": (lambda v: mc_params(a0=v), "a0"),
+    "McParams.mass": (lambda v: mc_params(mass=v), "mass"),
     # an explicit dt keeps tau out of the step, which would trip over NaN
-    "McParams.tau": (lambda: mc_params(tau=NAN, dt=0.125), "tau"),
-    "McParams.dt": (lambda: mc_params(dt=NAN), "dt must be positive"),
-    "McParams.positions": (lambda: mc_params(positions=(0.0, NAN)), "position"),
-    "grw_params.mass": (lambda: grw_params(NAN, 0.1, 1.0), "mass"),
-    "grw_params.a0": (lambda: grw_params(1.0, NAN, 1.0), "a0"),
-    "grw_params.tau": (lambda: grw_params(1.0, 0.1, NAN), "tau"),
-    "GrwParams.lambda_grw": (lambda: GrwParams(lambda_grw=NAN, alpha=8.0), "lambda_grw"),
-    "GrwParams.alpha": (lambda: GrwParams(lambda_grw=1e-4, alpha=NAN), "alpha"),
-    "ExperimentParams.mass_amu": (lambda: experiment(mass_amu=NAN), "mass_amu"),
-    "ExperimentParams.flight_time": (lambda: experiment(flight_time=NAN), "flight_time"),
-    "ExperimentParams.separation": (lambda: experiment(separation=NAN), "separation"),
+    "McParams.tau": (lambda v: mc_params(tau=v, dt=0.125), "tau"),
+    "McParams.dt": (lambda v: mc_params(dt=v), "dt must be positive"),
+    "McParams.positions": (lambda v: mc_params(positions=(0.0, v)), "position"),
+    "grw_params.mass": (lambda v: grw_params(v, 0.1, 1.0), "mass"),
+    "grw_params.a0": (lambda v: grw_params(1.0, v, 1.0), "a0"),
+    "grw_params.tau": (lambda v: grw_params(1.0, 0.1, v), "tau"),
+    "GrwParams.lambda_grw": (lambda v: GrwParams(lambda_grw=v, alpha=8.0), "lambda_grw"),
+    "GrwParams.alpha": (lambda v: GrwParams(lambda_grw=1e-4, alpha=v), "alpha"),
+    "ExperimentParams.mass_amu": (lambda v: experiment(mass_amu=v), "mass_amu"),
+    "ExperimentParams.flight_time": (lambda v: experiment(flight_time=v), "flight_time"),
+    "ExperimentParams.separation": (lambda v: experiment(separation=v), "separation"),
     "CosmoSourceParams.energy_density_limit": (
-        lambda: CosmoSourceParams(energy_density_limit=NAN), "energy density"),
+        lambda v: CosmoSourceParams(energy_density_limit=v), "energy density"),
     "CosmoSourceParams.correlation_time": (
-        lambda: CosmoSourceParams(correlation_time=NAN), "correlation time"),
+        lambda v: CosmoSourceParams(correlation_time=v), "correlation time"),
     "CosmoSourceParams.amplitude": (
-        lambda: CosmoSourceParams(amplitude=NAN), "amplitude"),
+        lambda v: CosmoSourceParams(amplitude=v), "amplitude"),
+    "evolve_with_free_hamiltonian.mass": (
+        lambda v: evolve_with_free_hamiltonian(rho(), GrwParams(1e-4, 8.0), v, 0.05, 1),
+        "mass"),
+    "evolve_with_free_hamiltonian.dt": (
+        lambda v: evolve_with_free_hamiltonian(rho(), GrwParams(1e-4, 8.0), 1.0, v, 1),
+        "dt"),
+    "general_kernel.t_total": (
+        lambda v: general_kernel(CorrelationModel.gaussian(1.0), 1.0, v, 1.0, 0.1),
+        "t_total"),
 }
 
+# NaN cases keep the bare field name as their id; +inf cases add "-inf"
+BAD_VALUES = [pytest.param(build, value, names, id=name + suffix)
+              for value, suffix in ((math.nan, ""), (math.inf, "-inf"))
+              for name, (build, names) in BAD_VALUE_CASES.items()]
 
-@pytest.mark.parametrize("build, names", list(NAN_CASES.values()), ids=list(NAN_CASES))
-def test_nan_rejected(build, names):
+
+@pytest.mark.parametrize("build, value, names", BAD_VALUES)
+def test_nan_rejected(build, value, names):
     with pytest.raises(ValueError, match=names):
-        build()
+        build(value)
 
 
 def _subclasses(cls):
