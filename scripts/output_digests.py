@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Print SHA-256 digests of every confdec output on small fixed inputs.
 
-Runs each CLI subcommand once, replays it from its manifest.json, and
-digests the Monte Carlo coherence records of a 300-draw run at dx = 5 and
-dx = 0.25.  Two checkouts that print the same lines produce the same bytes;
-diff the output of the two to check that a change leaves results unchanged.
-Runs in a temporary directory and takes a few seconds.
+Runs each CLI subcommand once (``mc`` also on a noise-dominated input that
+exits 3), replays it from its manifest.json, and digests the Monte Carlo
+coherence records of a 300-draw run at dx = 5 and dx = 0.25.  Two
+checkouts that print the same lines produce the same bytes; diff the output
+of the two to check that a change leaves results unchanged.  Runs in a
+temporary directory and takes a few seconds.
 """
 import contextlib
 import hashlib
@@ -29,6 +30,8 @@ from confdec.montecarlo import McParams, coherence_mc
 RUNS = [
     ("field", ["field", "--n-steps", "1000"]),
     ("mc", ["mc", "--n-samples", "100"]),
+    ("mc-noise", ["mc", "--mass", "3", "--dx", "5", "--t-list", "100,125,150,200",
+                  "--n-samples", "100", "--seed", "2"]),
     ("kernel", ["kernel", "--dx-list", "0,1,5", "--compare-t", "100"]),
     ("kernel-tabulated", ["kernel", "--dx-list", "0,1,5", "--compare-t", "100",
                           "--g1-table", "g1.csv"]),

@@ -9,6 +9,10 @@ experiment turns an observed contrast loss into a lower bound on
 as an input and derives its amplitude from an energy-density limit on
 conformal waves, through the relation between amplitude, correlation time
 and density that the zero-point model implies (``conformal_amplitude``).
+
+The calculator works in SI: masses in amu, times in seconds, separations in
+meters and densities in g/cm^3.  Only ``lambda_bound`` and the zero-point
+density functions take a ``constants`` argument.
 """
 from __future__ import annotations
 
@@ -32,8 +36,7 @@ class CutoffModel:
     tau: float
 
 
-def build_cutoff_model(lambda_cut: float,
-                       constants: PhysicalConstants = SI) -> CutoffModel:
+def build_cutoff_model(lambda_cut: float) -> CutoffModel:
     """Derive ``(omega_max, a0, tau)`` from the cutoff length.
 
     ``omega_max = 2 pi / (lambda_cut t_p)``, ``a0 = lambda_cut**-2`` and
@@ -41,7 +44,7 @@ def build_cutoff_model(lambda_cut: float,
     """
     if lambda_cut < 1.0:
         raise SubPlanckCutoff(f"lambda_cut = {lambda_cut} is below the Planck scale")
-    t_p = constants.t_planck
+    t_p = SI.t_planck
     return CutoffModel(lambda_cut=float(lambda_cut),
                        omega_max=2.0 * math.pi / (lambda_cut * t_p),
                        a0=lambda_cut**-2.0,
@@ -67,8 +70,7 @@ def zero_point_energy_density(omega_max: float,
     return constants.hbar * omega_max**4 / (16.0 * math.pi**2 * constants.c**3)
 
 
-def conformal_amplitude(mass_density: float, tau: float,
-                        constants: PhysicalConstants = SI) -> float:
+def conformal_amplitude(mass_density: float, tau: float) -> float:
     """Amplitude ``a0 = G rho tau^2 / pi^2`` of conformal waves of mass density ``rho``.
 
     ``rho`` is the energy density divided by ``c^2``.  ``a0`` is the
@@ -79,7 +81,7 @@ def conformal_amplitude(mass_density: float, tau: float,
     """
     if mass_density < 0 or tau <= 0:
         raise ValueError("mass density must be non-negative and tau positive")
-    return constants.G * mass_density * tau**2 / math.pi**2
+    return SI.G * mass_density * tau**2 / math.pi**2
 
 
 def integrated_zero_point_density(omega_max: float,
@@ -140,28 +142,25 @@ class CosmoSourceParams:
         if self.amplitude is not None and not 0 <= self.amplitude < math.inf:
             raise ValueError("amplitude must be non-negative and finite")
 
-    def resolved_amplitude(self, constants: PhysicalConstants = SI) -> float:
+    def resolved_amplitude(self) -> float:
         """The explicit ``amplitude``, else the one derived from the density limit.
 
-        The density is converted from g/cm^3 to kg/m^3, so the derivation
-        assumes SI ``constants``.
+        The density is converted from g/cm^3 to the SI kg/m^3.
         """
         if self.amplitude is not None:
             return self.amplitude
         return conformal_amplitude(self.energy_density_limit * 1e3,
-                                   self.correlation_time, constants)
+                                   self.correlation_time)
 
 
-def _contrast_loss(experiment: ExperimentParams, a0: float, tau: float,
-                   constants: PhysicalConstants) -> float:
+def _contrast_loss(experiment: ExperimentParams, a0: float, tau: float) -> float:
     """``grw_params(M, a0, tau).rate(dx) * T``, saturated (dx = inf) without a separation."""
     dx = math.inf if experiment.separation is None else experiment.separation
-    gp = grw_params(experiment.mass_amu * constants.amu, a0, tau, constants)
+    gp = grw_params(experiment.mass_amu * SI.amu, a0, tau, SI)
     return gp.rate(dx) * experiment.flight_time
 
 
-def predicted_contrast_loss(experiment: ExperimentParams, model: CutoffModel,
-                            constants: PhysicalConstants = SI) -> float:
+def predicted_contrast_loss(experiment: ExperimentParams, model: CutoffModel) -> float:
     """Fractional contrast loss the cutoff model predicts for the experiment.
 
     The localization rate at the experiment's separation times the flight
@@ -170,7 +169,7 @@ def predicted_contrast_loss(experiment: ExperimentParams, model: CutoffModel,
     fourth power of the amplitude and linearly in both the correlation time
     and the flight time.
     """
-    return _contrast_loss(experiment, model.a0, model.tau, constants)
+    return _contrast_loss(experiment, model.a0, model.tau)
 
 
 def lambda_bound(experiment: ExperimentParams,
@@ -193,25 +192,23 @@ def lambda_bound(experiment: ExperimentParams,
 
 
 def cosmological_feasibility(source: CosmoSourceParams,
-                             experiment: ExperimentParams,
-                             constants: PhysicalConstants = SI) -> float:
+                             experiment: ExperimentParams) -> float:
     """Contrast loss the cosmological source would produce in the experiment.
 
     Uses the source's resolved amplitude and its correlation time; the
     result is astronomically small because of the fourth power of the
     amplitude, and exactly zero for a zero amplitude.
     """
-    a0 = source.resolved_amplitude(constants)
+    a0 = source.resolved_amplitude()
     if a0 == 0.0:
         return 0.0
-    return _contrast_loss(experiment, a0, source.correlation_time, constants)
+    return _contrast_loss(experiment, a0, source.correlation_time)
 
 
 def bound_report(experiment: ExperimentParams,
                  lambda_cut: float | None = None,
                  source: CosmoSourceParams | None = None,
-                 reference_bound: float | None = None,
-                 constants: PhysicalConstants = SI) -> dict:
+                 reference_bound: float | None = None) -> dict:
     """Assemble the full bound computation as a plain dict.
 
     Includes the cutoff bound, intermediate quantities, the predicted loss
@@ -219,8 +216,8 @@ def bound_report(experiment: ExperimentParams,
     the cosmological-source loss, and a comparison against an externally
     published reference bound when one is supplied.
     """
-    mass_kg = experiment.mass_amu * constants.amu
-    bound = lambda_bound(experiment, constants)
+    mass_kg = experiment.mass_amu * SI.amu
+    bound = lambda_bound(experiment)
     inputs = {
         "mass_amu": experiment.mass_amu,
         "flight_time_s": experiment.flight_time,
@@ -228,36 +225,33 @@ def bound_report(experiment: ExperimentParams,
         "separation_m": experiment.separation,
     }
     consts = {
-        "c_m_per_s": constants.c,
-        "hbar_J_s": constants.hbar,
-        "G_m3_per_kg_s2": constants.G,
-        "amu_kg": constants.amu,
-        "t_planck_s": constants.t_planck,
-        "l_planck_m": constants.l_planck,
+        "c_m_per_s": SI.c,
+        "hbar_J_s": SI.hbar,
+        "G_m3_per_kg_s2": SI.G,
+        "amu_kg": SI.amu,
+        "t_planck_s": SI.t_planck,
+        "l_planck_m": SI.l_planck,
     }
     results = {
         "mass_kg": mass_kg,
-        "rest_energy_J": mass_kg * constants.c**2,
+        "rest_energy_J": mass_kg * SI.c**2,
         "lambda_bound": bound,
     }
     checks = {}
-    model = build_cutoff_model(lambda_cut if lambda_cut is not None else bound,
-                               constants)
+    model = build_cutoff_model(lambda_cut if lambda_cut is not None else bound)
     results["cutoff_model"] = {
         "lambda_cut": model.lambda_cut,
         "omega_max_rad_per_s": model.omega_max,
         "a0": model.a0,
         "tau_s": model.tau,
         "zero_point_energy_density_J_per_m3":
-            zero_point_energy_density(model.omega_max, constants),
+            zero_point_energy_density(model.omega_max),
     }
-    results["predicted_loss_at_cutoff"] = predicted_contrast_loss(
-        experiment, model, constants)
+    results["predicted_loss_at_cutoff"] = predicted_contrast_loss(experiment, model)
     checks["loss_round_trip"] = {
         "recovered_lambda": lambda_bound(
             ExperimentParams(experiment.mass_amu, experiment.flight_time,
-                             min(results["predicted_loss_at_cutoff"], 1.0 - 1e-12)),
-            constants),
+                             min(results["predicted_loss_at_cutoff"], 1.0 - 1e-12))),
         "target_lambda": model.lambda_cut,
     }
     if reference_bound is not None:
@@ -269,9 +263,8 @@ def bound_report(experiment: ExperimentParams,
                 0.1 <= bound / reference_bound <= 10.0,
         }
     if source is not None:
-        results["cosmological_amplitude"] = source.resolved_amplitude(constants)
-        results["cosmological_loss"] = cosmological_feasibility(
-            source, experiment, constants)
+        results["cosmological_amplitude"] = source.resolved_amplitude()
+        results["cosmological_loss"] = cosmological_feasibility(source, experiment)
         checks["cosmological_unobservable"] = (
             results["cosmological_loss"] < experiment.contrast_loss * 1e-12)
     return {"inputs": inputs, "constants": consts,

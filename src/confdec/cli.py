@@ -29,7 +29,7 @@ from . import __version__, io
 from .bounds import (CosmoSourceParams, ExperimentParams, bound_report,
                      lambda_bound)
 from .core import NATURAL, SI
-from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS
+from .errors import ConfdecError, UndersampledSignal
 from .field import (CorrelationModel, FieldGrid, estimate_g1, estimate_g2,
                     odd_moment_check, sample_field)
 from .master import (GrwParams, closed_form_kernel, decoherence_factor,
@@ -295,16 +295,15 @@ def cmd_mc(params) -> int:
 
     gp = grw_params(params["mass"], params["a0"], params["tau"], constants)
     predicted = gp.rate(mc.delta_x)
-    last = max(estimate.records, key=lambda r: r.t)
-    undersampled = abs(last.mean) <= 5.0 * last.stderr
     results = {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
                "predicted_rate": predicted}
-    checks = {"signal_above_noise": bool(not undersampled)}
-    if undersampled:
+    checks = {"signal_above_noise": True}
+    try:
+        fit = fit_decoherence_rate(estimate)
+    except UndersampledSignal as exc:
+        checks["signal_above_noise"] = False
         return _finish("mc", params, out, ["coherence.csv"],
-                       _summary(params, constants, results, checks),
-                       "coherence at largest T is within 5 stderr of zero")
-    fit = fit_decoherence_rate(estimate)
+                       _summary(params, constants, results, checks), str(exc))
     results.update(rate=fit.rate, rate_stderr=fit.stderr, intercept=fit.intercept,
                    ratio_to_predicted=(fit.rate / predicted if predicted > 0 else None))
     if predicted > 0:
@@ -424,8 +423,7 @@ def cmd_bound(params) -> int:
         for m in masses:
             for t in times:
                 for d in losses:
-                    rows.append((m, t, d, lambda_bound(
-                        ExperimentParams(m, t, d), SI)))
+                    rows.append((m, t, d, lambda_bound(ExperimentParams(m, t, d))))
         io.write_csv(out / "sweep.csv",
                      ["mass[amu]", "flight_time[s]", "contrast_loss[1]",
                       "lambda_bound[1]"], rows)
@@ -478,12 +476,12 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else {}
         params = _resolve(args, config, specs)
         return handler(params)
-    except NUMERICAL_ERRORS as exc:
-        print(f"confdec {args.command}: {exc}", file=sys.stderr)
-        return 3
-    except VALIDATION_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"confdec {args.command}: {exc}", file=sys.stderr)
         return 2
+    except ConfdecError as exc:
+        print(f"confdec {args.command}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

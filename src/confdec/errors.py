@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-Validation-type errors signal bad inputs or configuration; numerical-type
-errors signal a computation that started from valid inputs but could not
-be completed to the requested accuracy.  The CLI maps the former to exit
-code 2 and the latter to exit code 3.
+Validation-type errors signal bad inputs or configuration and are also
+``ValueError``s; numerical-type errors signal a computation that started
+from valid inputs but could not be completed to the requested accuracy.
+The CLI exits 2 on any ``ValueError`` and 3 on any other ``ConfdecError``.
 """
 
 
@@ -11,19 +11,19 @@ class ConfdecError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ResolutionError(ConfdecError):
+class ResolutionError(ConfdecError, ValueError):
     """Grid step too coarse for the correlation time (dt > tau/8)."""
 
 
-class IndefiniteCovariance(ConfdecError):
+class IndefiniteCovariance(ConfdecError, ValueError):
     """Tabulated correlation has a negative spectral component."""
 
 
-class OutOfRange(ConfdecError):
+class OutOfRange(ConfdecError, ValueError):
     """Field lookup outside the sampled interval."""
 
 
-class InsufficientSamples(ConfdecError):
+class InsufficientSamples(ConfdecError, ValueError):
     """Monte Carlo ensemble smaller than the minimum (100 samples)."""
 
 
@@ -31,7 +31,7 @@ class UndersampledSignal(ConfdecError):
     """Coherence magnitude indistinguishable from noise (|mean| <= 5 stderr)."""
 
 
-class FitDegenerate(ConfdecError):
+class FitDegenerate(ConfdecError, ValueError):
     """Rate fit attempted on a T range spanning less than a factor of two."""
 
 
@@ -43,23 +43,6 @@ class StepTooLarge(ConfdecError):
     """Split-step halving check changed the result by more than the tolerance."""
 
 
-class SubPlanckCutoff(ConfdecError):
+class SubPlanckCutoff(ConfdecError, ValueError):
     """Cutoff model requested below the Planck scale (lambda_cut < 1)."""
 
-
-VALIDATION_ERRORS = (
-    ResolutionError,
-    IndefiniteCovariance,
-    OutOfRange,
-    InsufficientSamples,
-    FitDegenerate,
-    SubPlanckCutoff,
-    ValueError,
-    OSError,
-)
-
-NUMERICAL_ERRORS = (
-    UndersampledSignal,
-    QuadratureFailure,
-    StepTooLarge,
-)

@@ -1,8 +1,10 @@
 """CSV/JSON serialization with deterministic formatting.
 
-All floats are written with 17 significant digits so that re-running a
-manifest reproduces outputs byte-identically; JSON objects are written with
-sorted keys for the same reason.
+CSV floats are written with 17 significant digits and JSON floats as
+``json.dump`` writes them (their shortest round-tripping ``repr``), so both
+read back as the same doubles and re-running a manifest reproduces outputs
+byte-identically; JSON objects are written with sorted keys for the same
+reason.
 """
 from __future__ import annotations
 

@@ -54,9 +54,12 @@ class GrwParams:
         """Localization rate ``lambda_grw (1 - exp(-(alpha/4) dx^2))`` at separation ``delta_x``.
 
         Zero at zero separation; ``delta_x = math.inf`` gives the saturated
-        rate ``lambda_grw`` exactly.  Scalars in, float out; arrays broadcast.
+        rate ``lambda_grw`` exactly, and NaN raises ``ValueError``.  Scalars
+        in, float out; arrays broadcast.
         """
         dx = np.asarray(delta_x, dtype=float)
+        if np.isnan(dx).any():
+            raise ValueError("delta_x must not be NaN")
         out = self.lambda_grw * (1.0 - np.exp(-0.25 * self.alpha * dx * dx))
         return float(out) if out.ndim == 0 else out
 
@@ -69,8 +72,8 @@ def decoherence_factor(delta_x, t, params: GrwParams):
     far beyond the correlation length.
     """
     tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0):
-        raise ValueError("t must be non-negative")
+    if not np.all((0 <= tt) & (tt < math.inf)):
+        raise ValueError("t must be non-negative and finite")
     out = np.exp(-params.rate(delta_x) * tt)
     return float(out) if out.ndim == 0 else out
 
@@ -138,8 +141,7 @@ class DensityMatrix:
         return cls(x_grid=x, entries=e / tr)
 
 
-def superposed_gaussians(x_grid, sigma: float, separation: float,
-                         hbar: float = 1.0) -> DensityMatrix:
+def superposed_gaussians(x_grid, sigma: float, separation: float) -> DensityMatrix:
     """Equal superposition of two Gaussians separated by ``separation``."""
     x = np.asarray(x_grid, dtype=float)
     psi = (np.exp(-((x - separation / 2.0) ** 2) / (4.0 * sigma**2))
@@ -237,6 +239,8 @@ def general_kernel(g1_model: CorrelationModel, delta_x: float, t_total: float,
     """
     if not 0 < t_total < math.inf:
         raise ValueError("t_total must be positive and finite")
+    if math.isnan(delta_x):
+        raise ValueError("delta_x must not be NaN")
     tau, c = g1_model.tau, constants.c
     d = abs(delta_x) / c
     if t_total < 10.0 * max(tau, d):
@@ -244,8 +248,6 @@ def general_kernel(g1_model: CorrelationModel, delta_x: float, t_total: float,
 
     def weighted(f, support, kinks=()):
         hi = min(t_total, support)
-        if hi <= 0.0:
-            return 0.0
         pts = sorted({p for p in kinks if 0.0 < p < hi})
         val, err = quad(lambda s: (t_total - s) * f(s), 0.0, hi,
                         epsabs=0.0, epsrel=_QUAD_RTOL, limit=400,
@@ -272,5 +274,7 @@ def general_kernel(g1_model: CorrelationModel, delta_x: float, t_total: float,
 def closed_form_kernel(delta_x: float, t_total: float, mass: float, a0: float,
                        tau: float, constants: PhysicalConstants = NATURAL) -> float:
     """Large-T Gaussian-correlation limit of ``general_kernel``: ``-rate(dx) T``."""
+    if not math.isfinite(t_total):
+        raise ValueError("t_total must be finite")
     # subtracting from 0.0 keeps the zero-separation kernel +0.0, not -0.0
     return 0.0 - grw_params(mass, a0, tau, constants).rate(delta_x) * t_total

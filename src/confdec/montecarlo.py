@@ -38,7 +38,7 @@ from .errors import (FitDegenerate, InsufficientSamples, OutOfRange,
 from .field import (CorrelationModel, FieldGrid, FieldRealization,
                     _check_resolution, _draw_streams, embedding_spectrum)
 
-_BLOCK = 256            # samples per synthesis batch (fixed for determinism)
+_BLOCK = 256            # samples per synthesis batch: bounds the streams held in memory
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
 
 
@@ -316,8 +316,10 @@ def fit_decoherence_rate(estimate: CoherenceEstimate) -> RateFit:
     _check_fit_times(ts)
     mags = np.array([abs(r.mean) for r in recs])
     errs = np.array([r.stderr for r in recs])
-    if np.any(mags <= 5.0 * errs):
-        raise UndersampledSignal("coherence magnitude within 5 stderr of zero")
+    low = mags <= 5.0 * errs
+    if low.any():
+        raise UndersampledSignal("coherence magnitude within 5 stderr of zero at T = "
+                                 + ", ".join(f"{t:g}" for t in ts[low]))
     y = -np.log(mags)
     if errs.max() == 0.0:
         (rate, intercept), stderr = np.polyfit(ts, y, 1), 0.0

@@ -288,15 +288,27 @@ class TestMcCommand:
         assert not out.exists()
 
     def test_noise_dominated_signal_is_numerical_error(self, tmp_path, capsys):
-        # heavy mass drives the coherence to ~1e-5 and below, far under the
-        # n=100 shot noise, so the run must refuse to fit a rate; the T grid
-        # is one the fit could use, since an unusable one is refused earlier
-        rc = main(["mc", "--mass", "30", "--dx", "5", "--t-list", "100,125,150,200",
-                   "--n-samples", "100", "--out", str(tmp_path)])
-        assert rc == 3
-        report = io.read_json(tmp_path / "rate.json")
-        assert report["checks"]["signal_above_noise"] is False
-        assert "rate" not in report["results"]
+        # mass 30 drives the coherence to ~1e-5 and below, far under the n=100
+        # shot noise at every T; at mass 3 and seed 2 only the largest T stands
+        # 5 stderr clear (pulls 4.2, 4.0, 4.8, 6.8), so every T must be checked.
+        # Either run must refuse to fit a rate, and still leave its rate.json
+        # and a manifest that replays it; the T grid is one the fit could use,
+        # since an unusable one is refused earlier
+        for mass, seed in (("30", "1234"), ("3", "2")):
+            d1, d2 = tmp_path / f"{mass}-one", tmp_path / f"{mass}-two"
+            rc = main(["mc", "--mass", mass, "--dx", "5", "--t-list", "100,125,150,200",
+                       "--n-samples", "100", "--seed", seed, "--out", str(d1)])
+            assert rc == 3
+            assert "within 5 stderr of zero at T = 100" in capsys.readouterr().err
+            report = io.read_json(d1 / "rate.json")
+            assert report["checks"] == {"signal_above_noise": False}
+            assert "rate" not in report["results"]
+            assert io.read_json(d1 / "manifest.json")["outputs"] == [
+                "coherence.csv", "rate.json"]
+            assert main(["mc", "--config", str(d1 / "manifest.json"),
+                         "--out", str(d2)]) == 3
+            for name in ("coherence.csv", "rate.json", "manifest.json"):
+                assert read_bytes(d1 / name) == read_bytes(d2 / name), (mass, name)
         capsys.readouterr()
 
     def test_rate_outside_3_stderr_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -392,6 +404,32 @@ class TestEvolveCommand:
                    "--out", str(tmp_path)])
         assert rc == 2
         capsys.readouterr()
+
+    def test_kinetic_run_and_manifest_replay(self, tmp_path):
+        rho = superposed_gaussians(np.linspace(-8.0, 8.0, 33), sigma=1.0, separation=4.0)
+        src = tmp_path / "rho.json"
+        io.density_matrix_to_json(rho, src)
+        d1, d2 = tmp_path / "one", tmp_path / "two"
+        assert main(["evolve", "--input", str(src), "--kinetic-mass", "1",
+                     "--dt", "0.05", "--n-steps", "4", "--out", str(d1)]) == 0
+        assert main(["evolve", "--config", str(d1 / "manifest.json"),
+                     "--out", str(d2)]) == 0
+        for name in ("evolved.json", "summary.json", "manifest.json"):
+            assert read_bytes(d1 / name) == read_bytes(d2 / name), name
+        summary = io.read_json(d1 / "summary.json")
+        assert summary["results"]["t_total"] == pytest.approx(0.2)
+        assert summary["checks"] and all(summary["checks"].values())
+
+    def test_kinetic_step_too_large_is_numerical_error(self, tmp_path, capsys):
+        # dt = 2 fails the split-step halving check: exit 3 and no outputs
+        rho = superposed_gaussians(np.linspace(-8.0, 8.0, 33), sigma=1.0, separation=4.0)
+        src = tmp_path / "rho.json"
+        io.density_matrix_to_json(rho, src)
+        out = tmp_path / "o"
+        assert main(["evolve", "--input", str(src), "--kinetic-mass", "1",
+                     "--dt", "2", "--n-steps", "2", "--out", str(out)]) == 3
+        assert "halving dt changed the result by" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kinetic_needs_step_parameters(self, tmp_path, capsys):
         rho = superposed_gaussians(X_GRID, sigma=1.0, separation=4.0)

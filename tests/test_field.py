@@ -250,6 +250,17 @@ class TestEstimators:
         for order, est, err in moments:
             assert abs(est) <= 4.0 * err, order
 
+    def test_short_series_stderrs_finite(self):
+        # 200 steps hold fewer than 8 of the default blocks, so the blocks
+        # shrink; unshrunk, the longest lag products form one block, whose
+        # standard error is NaN
+        short = make_realization(n_steps=200, seed=5)
+        for est in (estimate_g1(short, 3.0), estimate_g2(short, 3.0)):
+            for err in est.stderrs.values():
+                assert np.all(np.isfinite(err) & (err > 0))
+        for order, _est, err in odd_moment_check(short):
+            assert math.isfinite(err) and err > 0, order
+
     def test_max_lag_guard(self, realization):
         with pytest.raises(ValueError):
             estimate_g1(realization, realization.grid.duration)

@@ -39,9 +39,10 @@ def test_rate_vs_separation(tmp_path):
 def test_output_digests(tmp_path):
     lines = run("output_digests.py", cwd=tmp_path).splitlines()
     assert "mc exit 0 stderr " + hashlib.sha256(b"").hexdigest() in lines
-    assert sum(line.endswith("replay identical 3/3") for line in lines) == 4
+    assert any(line.startswith("mc-noise exit 3 ") for line in lines)
+    assert sum(line.endswith("replay identical 3/3") for line in lines) == 5
     assert [line.split()[1] for line in lines if line.startswith("coherence_mc")] == [
         "dx=5", "dx=0.25"]
     files = [line.split() for line in lines if "/" in line.split()[0]]
-    assert len(files) == 26 and all(len(digest) == 64 for _name, digest in files)
+    assert len(files) == 29 and all(len(digest) == 64 for _name, digest in files)
     assert not list(tmp_path.iterdir())   # every output stays in a temporary directory

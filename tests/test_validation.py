@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from confdec import errors
+from confdec import cli, errors
 from confdec.bounds import CosmoSourceParams, ExperimentParams
 from confdec.field import CorrelationModel, FieldGrid
-from confdec.master import (GrwParams, evolve_with_free_hamiltonian, general_kernel,
-                            grw_params, superposed_gaussians)
+from confdec.master import (GrwParams, closed_form_kernel, decoherence_factor,
+                            evolve_with_free_hamiltonian, general_kernel, grw_params,
+                            superposed_gaussians)
 from confdec.montecarlo import McParams
 
 
@@ -61,12 +62,26 @@ BAD_VALUE_CASES = {
     "general_kernel.t_total": (
         lambda v: general_kernel(CorrelationModel.gaussian(1.0), 1.0, v, 1.0, 0.1),
         "t_total"),
+    "decoherence_factor.t": (
+        lambda v: decoherence_factor(1.0, v, GrwParams(1e-4, 8.0)), "t must be"),
+    "closed_form_kernel.t_total": (
+        lambda v: closed_form_kernel(1.0, v, 1.0, 0.1, 1.0), "t_total"),
+}
+
+# separations refused as NaN only: an infinite one is the saturated kernel
+NAN_ONLY_CASES = {
+    "GrwParams.rate.delta_x": (lambda v: GrwParams(1e-4, 8.0).rate(v), "delta_x"),
+    "general_kernel.delta_x": (
+        lambda v: general_kernel(CorrelationModel.gaussian(1.0), v, 100.0, 1.0, 0.1),
+        "delta_x"),
 }
 
 # NaN cases keep the bare field name as their id; +inf cases add "-inf"
 BAD_VALUES = [pytest.param(build, value, names, id=name + suffix)
               for value, suffix in ((math.nan, ""), (math.inf, "-inf"))
-              for name, (build, names) in BAD_VALUE_CASES.items()]
+              for name, (build, names) in BAD_VALUE_CASES.items()] + [
+    pytest.param(build, math.nan, names, id=name)
+    for name, (build, names) in NAN_ONLY_CASES.items()]
 
 
 @pytest.mark.parametrize("build, value, names", BAD_VALUES)
@@ -81,12 +96,22 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-def test_every_error_has_one_exit_code():
-    # the CLI exits 2 on VALIDATION_ERRORS and 3 on NUMERICAL_ERRORS; an
-    # error in neither would reach the user as a traceback with exit code 1
-    found = list(_subclasses(errors.ConfdecError))
-    assert found
-    for cls in found:
-        groups = [group for group in (errors.VALIDATION_ERRORS, errors.NUMERICAL_ERRORS)
-                  if issubclass(cls, group)]
-        assert len(groups) == 1, cls.__name__
+# 2: bad input or configuration; 3: a numerical or statistical failure
+EXIT_CODES = {
+    errors.ResolutionError: 2, errors.IndefiniteCovariance: 2, errors.OutOfRange: 2,
+    errors.InsufficientSamples: 2, errors.FitDegenerate: 2, errors.SubPlanckCutoff: 2,
+    errors.UndersampledSignal: 3, errors.QuadratureFailure: 3, errors.StepTooLarge: 3,
+}
+
+
+def test_every_error_has_one_exit_code(tmp_path, monkeypatch, capsys):
+    # each error raised by a command reaches the user as its exit code, not
+    # as a traceback; a new error class must be given a row in EXIT_CODES
+    assert set(_subclasses(errors.ConfdecError)) == set(EXIT_CODES)
+    specs, _handler, help_text = cli.COMMANDS["bound"]
+    for cls, code in EXIT_CODES.items():
+        def handler(params, cls=cls):
+            raise cls("raised by the handler")
+        monkeypatch.setitem(cli.COMMANDS, "bound", (specs, handler, help_text))
+        assert cli.main(["bound", "--out", str(tmp_path)]) == code, cls.__name__
+        assert "confdec bound: raised by the handler" in capsys.readouterr().err
