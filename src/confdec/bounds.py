@@ -40,10 +40,13 @@ def build_cutoff_model(lambda_cut: float) -> CutoffModel:
     """Derive ``(omega_max, a0, tau)`` from the cutoff length.
 
     ``omega_max = 2 pi / (lambda_cut t_p)``, ``a0 = lambda_cut**-2`` and
-    ``tau = lambda_cut t_p``.  Cutoffs below one Planck length are refused.
+    ``tau = lambda_cut t_p``.  Cutoffs below one Planck length are refused,
+    and so are NaN and infinite ones.
     """
     if lambda_cut < 1.0:
         raise SubPlanckCutoff(f"lambda_cut = {lambda_cut} is below the Planck scale")
+    if not 1.0 <= lambda_cut < math.inf:
+        raise ValueError(f"lambda_cut = {lambda_cut} must be finite")
     t_p = SI.t_planck
     return CutoffModel(lambda_cut=float(lambda_cut),
                        omega_max=2.0 * math.pi / (lambda_cut * t_p),
@@ -53,8 +56,8 @@ def build_cutoff_model(lambda_cut: float) -> CutoffModel:
 
 def mode_density(omega: float, constants: PhysicalConstants = SI) -> float:
     """Spectral mode density ``4 pi omega^2 / (2 pi c)^3`` per unit volume."""
-    if omega < 0:
-        raise ValueError("omega must be non-negative")
+    if not 0 <= omega < math.inf:
+        raise ValueError("omega must be non-negative and finite")
     return 4.0 * math.pi * omega**2 / (2.0 * math.pi * constants.c) ** 3
 
 
@@ -65,8 +68,8 @@ def zero_point_energy_density(omega_max: float,
     Equal to the integral of ``(hbar omega / 2) * mode_density(omega)`` from
     0 to ``omega_max`` (see ``integrated_zero_point_density``).
     """
-    if omega_max < 0:
-        raise ValueError("omega_max must be non-negative")
+    if not 0 <= omega_max < math.inf:
+        raise ValueError("omega_max must be non-negative and finite")
     return constants.hbar * omega_max**4 / (16.0 * math.pi**2 * constants.c**3)
 
 
@@ -79,8 +82,10 @@ def conformal_amplitude(mass_density: float, tau: float) -> float:
     at ``tau = lambda_cut t_p`` and ``rho = zero_point_energy_density(2 pi /
     tau) / c^2`` it returns ``lambda_cut**-2``.
     """
-    if mass_density < 0 or tau <= 0:
-        raise ValueError("mass density must be non-negative and tau positive")
+    if not 0 <= mass_density < math.inf:
+        raise ValueError("mass_density must be non-negative and finite")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     return SI.G * mass_density * tau**2 / math.pi**2
 
 

@@ -12,6 +12,7 @@ discarded so the retained samples carry no periodicity artifacts.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -185,20 +186,23 @@ def _check_resolution(model: CorrelationModel, dt: float):
             f"dt = {dt} exceeds tau/8 = {model.tau / 8.0}; refine the grid")
 
 
-def embedding_spectrum(model: CorrelationModel, grid: FieldGrid):
-    """Circulant length and half-spectrum amplitudes for the padded grid.
+@functools.lru_cache(maxsize=64)
+def _embedding(model: CorrelationModel, dt: float, n_steps: int):
+    """Circulant length, clipped eigenvalues and half-spectrum amplitudes.
 
-    Returns ``(L, amp)`` where ``L`` is the (even) embedding length and
-    ``amp`` has length ``L//2 + 1``; feeding ``amp * (a + i b)`` with unit
-    normals ``a, b`` through ``irfft`` yields a realization whose retained
-    covariance matches ``g1`` up to terms of order ``g1(8 tau)``.
+    The one owner of the embedding spectrum, memoized on ``(model, dt,
+    n_steps)``.  Returns ``(L, eig, amp)`` with read-only arrays: ``L`` is
+    the (even) embedding length, ``eig`` the ``L`` circulant eigenvalues
+    clipped at zero, so that the synthesized streams have exactly the
+    circulant covariance ``ifft(eig)``, and ``amp`` the ``L//2 + 1``
+    amplitudes that ``_irfft_normals`` weights the normals by.
     """
-    pad = int(math.ceil(_PAD_CORR_TIMES * model.tau / grid.dt))
-    L = next_fast_len(grid.n_steps + pad)
+    pad = int(math.ceil(_PAD_CORR_TIMES * model.tau / dt))
+    L = next_fast_len(n_steps + pad)
     while L % 2:
         L = next_fast_len(L + 1)
     k = np.arange(L)
-    circ_lag = np.minimum(k, L - k) * grid.dt
+    circ_lag = np.minimum(k, L - k) * dt
     eig = np.fft.fft(model.g1(circ_lag)).real
     top = eig.max()
     if eig.min() < -_SPECTRUM_TOL * top:
@@ -210,6 +214,20 @@ def embedding_spectrum(model: CorrelationModel, grid: FieldGrid):
     amp[0] = math.sqrt(eig[0] * L)
     amp[-1] = math.sqrt(eig[L // 2] * L)
     amp[1:-1] = np.sqrt(eig[1:L // 2] * L / 2.0)
+    eig.setflags(write=False)
+    amp.setflags(write=False)
+    return L, eig, amp
+
+
+def embedding_spectrum(model: CorrelationModel, grid: FieldGrid):
+    """Circulant length and half-spectrum amplitudes for the padded grid.
+
+    Returns ``(L, amp)`` where ``L`` is the (even) embedding length and
+    ``amp`` (read-only) has length ``L//2 + 1``; feeding ``amp * (a + i b)``
+    with unit normals ``a, b`` through ``irfft`` yields a realization whose
+    retained covariance matches ``g1`` up to terms of order ``g1(8 tau)``.
+    """
+    L, _eig, amp = _embedding(model, grid.dt, grid.n_steps)
     return L, amp
 
 
@@ -236,19 +254,20 @@ def synthesize_stream(rng: np.random.Generator, L: int, amp: np.ndarray,
     return _irfft_normals(rng.standard_normal(L), amp)[:n_steps].copy()
 
 
-def _draw_streams(entropies, L: int, amp: np.ndarray, n_steps: int) -> np.ndarray:
-    """Both streams of every keyed draw, retained part only: ``(2, b, n_steps)``.
+def _draw_streams(entropies, L: int, amp: np.ndarray, n_steps: int,
+                  streams=(0, 1)) -> np.ndarray:
+    """The given streams of every keyed draw, retained part only: ``(s, b, n_steps)``.
 
     Stream ``s`` of draw ``j`` comes from its own ``PCG64`` seeded with
     ``entropies[j] + (s,)``, so each stream is reproducible on its own,
-    whatever the batch it is drawn in.  The result is a view of the
-    full-length ``(2, b, L)`` synthesis.
+    whatever the batch or the other streams it is drawn with.  The result
+    is a view of the full-length ``(s, b, L)`` synthesis.
     """
-    z = np.empty((2, len(entropies), L))
+    z = np.empty((len(streams), len(entropies), L))
     for j, entropy in enumerate(entropies):
-        for stream in (0, 1):
+        for row, stream in enumerate(streams):
             ss = np.random.SeedSequence(entropy + (stream,))
-            np.random.Generator(np.random.PCG64(ss)).standard_normal(out=z[stream, j])
+            np.random.Generator(np.random.PCG64(ss)).standard_normal(out=z[row, j])
     return _irfft_normals(z, amp)[..., :n_steps]
 
 

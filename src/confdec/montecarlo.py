@@ -9,20 +9,22 @@ potential at two positions to get the accumulated phases
 and averages ``exp(i * (phi(x') - phi(x)))`` over the ensemble.  The decay of
 that average with T gives the decoherence rate for separation ``|x' - x|``.
 
-The phase at x is assembled from five trapezoid integrals of the streams
-along its light cones, ``(Ip, Im, Ipp, Imm, Ipm)`` of xi+, xi-, xi+^2, xi-^2
-and xi+ xi-, so it is known at once for every stream-sign pattern
-``(xi+, xi-) -> (s+ xi+, s- xi-)``.  Those patterns leave the Gaussian measure
-unchanged, and ``coherence_mc`` scores each draw as the average of
-``exp(i dphi)`` over all four.  The phase API is ``accumulate_phase`` (one
-realization at one position) and ``sample_phases`` (every draw at both
-positions); both return the draw as synthesized, the pattern (+, +).
+The phase API is ``accumulate_phase`` (one realization at one position)
+and ``sample_phases`` (every draw at both positions); both integrate the
+potential of the streams as drawn.  ``coherence_mc`` draws the minus stream
+only and scores each draw by its exact conditional coherence
+``E[exp(i dphi) | xi-]``: given xi-, the phase difference is linear plus
+quadratic in the Gaussian plus stream, with the quadratic part confined to
+the window edges where the two light cones do not overlap, so the integral
+over xi+ has a closed form (conditional Monte Carlo, or Rao-Blackwellization).
+That halves the synthesis per draw and lowers the per-draw variance.
 
 Draws are keyed by ``(master seed, T index, sample index)`` and synthesized
 by ``field``, so the phases are reproducible and bit-identical whatever the
-block batching, and equal to those of ``sample_field`` under the same key.
-Each T's coherence and its standard error are reduced with numpy over the
-full ensemble of draws.
+block batching, and equal to those of ``sample_field`` under the same key;
+``coherence_mc`` reads stream 1 of the same keys, the minus stream of
+``sample_field``.  Each T's coherence and its standard error are reduced
+with numpy over the full ensemble of draws.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from .core import NATURAL, PhysicalConstants
 from .errors import (FitDegenerate, InsufficientSamples, OutOfRange,
                      UndersampledSignal)
 from .field import (CorrelationModel, FieldGrid, FieldRealization,
-                    _check_resolution, _draw_streams, embedding_spectrum)
+                    _check_resolution, _draw_streams, _embedding)
 
 _BLOCK = 256            # samples per synthesis batch: bounds the streams held in memory
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
@@ -157,11 +159,23 @@ def _mc_grid(params: McParams, t: float) -> FieldGrid:
                      t_start=-k0 * dt)
 
 
-def _shifted_segment(arr: np.ndarray, start: int, k_t: int) -> np.ndarray:
-    """Last-axis slice ``start .. start + k_t``; ``OutOfRange`` if not covered."""
-    if start < 0 or start + k_t > arr.shape[-1] - 1:
+def _windows(grid: FieldGrid, t: float, x: float, c: float) -> tuple:
+    """``(k_t, plus_start, minus_start)`` of the light-cone windows at x over [0, t].
+
+    ``grid`` alone sets the t = 0 node, the step count ``k_t`` and the
+    shift: the window reads xi+ at nodes ``plus_start .. plus_start + k_t``
+    (retarded, t - x/c) and xi- at ``minus_start .. minus_start + k_t``
+    (advanced, t + x/c).  ``OutOfRange`` if the grid does not cover both.
+    """
+    k0 = -_whole_steps(grid.t_start, grid.dt, "realization start t_start")
+    k_t = _whole_steps(t, grid.dt, "t_final")
+    if k_t < 1:
+        raise ValueError("t_final must be at least one step")
+    shift = _whole_steps(x, c * grid.dt, "position", "c*dt")
+    starts = (k0 - shift, k0 + shift)
+    if min(starts) < 0 or max(starts) + k_t > grid.n_steps - 1:
         raise OutOfRange("realization does not cover the shifted integration window")
-    return arr[..., start:start + k_t + 1]
+    return (k_t, *starts)
 
 
 def _trapz(f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
@@ -172,49 +186,24 @@ def _trapz(f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
             - 0.5 * (f[:, 0] * g[:, 0] + f[:, -1] * g[:, -1]))
 
 
-def _integrals_at(xi_p, xi_m, grid: FieldGrid, t: float, x: float,
-                  c: float) -> np.ndarray:
-    """The five stream integrals from 0 to t at position x, for streams stacked as (b, n).
+def _phase_scale(params: McParams, dt: float) -> float:
+    """``-(M c^2 / hbar) dt``: phase per step and unit of ``V / (M c^2/2)``."""
+    return -params.mass * params.constants.c**2 / params.constants.hbar * dt
 
-    ``grid`` alone sets the t = 0 node, the step count and the light-cone
-    shift.  With ``p`` and ``m`` the plus and minus streams along the
-    shifted window of x, returns ``(Ip, Im, Ipp, Imm, Ipm)`` as a ``(5, b)``
-    array: the trapezoid integrals (in units of ``dt``) of p, m, p^2, m^2
-    and p*m.
+
+def _phase_at(xi_p, xi_m, grid: FieldGrid, t: float, x: float,
+              params: McParams) -> np.ndarray:
+    """Phase at x from 0 to t of each realization, for streams stacked as (b, n).
+
+    With ``s = xi+ + xi-`` along the windows of ``_windows``, the trapezoid
+    integral of the potential ``V = (M c^2/2)((1 + A0 s)^2 - 1)``:
+
+        -(M c^2 / hbar) dt [A0 sum' s + A0^2/2 sum' s^2].
     """
-    k0 = -_whole_steps(grid.t_start, grid.dt, "realization start t_start")
-    k_t = _whole_steps(t, grid.dt, "t_final")
-    if k_t < 1:
-        raise ValueError("t_final must be at least one step")
-    shift = _whole_steps(x, c * grid.dt, "position", "c*dt")
-    p = _shifted_segment(xi_p, k0 - shift, k_t)
-    m = _shifted_segment(xi_m, k0 + shift, k_t)
-    return np.stack([_trapz(p), _trapz(m), _trapz(p, p), _trapz(m, m),
-                     _trapz(p, m)])
-
-
-def _phase_terms(ints, dt: float, params: McParams, sign_minus=1.0):
-    """Linear and quadratic parts of the phase under stream signs (+, s-).
-
-    The phase of the realization with xi- -> s- xi- is
-
-        -(M c^2 / hbar) dt [A0 (Ip + s- Im) + A0^2/2 (Ipp + Imm + 2 s- Ipm)],
-
-    the trapezoid integral of the potential ``V = (M c^2/2)((1 + A0 s)^2 - 1)``
-    with ``s = xi+ + s- xi-``; returned as ``(linear, quadratic)``.  Flipping
-    xi+ as well negates the linear part and leaves the quadratic one.
-    """
-    i_p, i_m, i_pp, i_mm, i_pm = ints
-    pref = -params.mass * params.constants.c**2 / params.constants.hbar * dt
-    a0 = params.a0
-    return (pref * a0 * (i_p + sign_minus * i_m),
-            pref * 0.5 * a0**2 * (i_pp + i_mm + 2.0 * sign_minus * i_pm))
-
-
-def _phase(ints, dt: float, params: McParams) -> np.ndarray:
-    """Phase of the realization as drawn, the identity sign pattern (+, +)."""
-    linear, quadratic = _phase_terms(ints, dt, params)
-    return linear + quadratic
+    k_t, plus, minus = _windows(grid, t, x, params.constants.c)
+    s = xi_p[..., plus:plus + k_t + 1] + xi_m[..., minus:minus + k_t + 1]
+    return _phase_scale(params, grid.dt) * (
+        params.a0 * _trapz(s) + 0.5 * params.a0**2 * _trapz(s, s))
 
 
 def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
@@ -227,49 +216,112 @@ def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
     realization must cover the shifted window for this position
     (``OutOfRange`` otherwise).
     """
-    grid = realization.grid
-    ints = _integrals_at(realization.xi_plus[None, :], realization.xi_minus[None, :],
-                         grid, t_final, x, params.constants.c)
-    return float(_phase(ints, grid.dt, params)[0])
+    return float(_phase_at(realization.xi_plus[None, :], realization.xi_minus[None, :],
+                           realization.grid, t_final, x, params)[0])
 
 
-def _sample_integrals(params: McParams, t: float, t_index: int) -> np.ndarray:
-    """Stream integrals of every draw at flight time ``t``: ``(2, 5, n_samples)``.
+def _keyed_blocks(params: McParams, t_index: int, grid: FieldGrid, streams=(0, 1)):
+    """``(slice, xi)`` per batch of the draws keyed ``(seed, t_index, j)``.
 
-    Axis 0 is the position pair, axis 1 the five integrals of
-    ``_integrals_at``.
+    ``xi`` holds the given streams of the batch, ``(len(streams), b, n)``.
     """
-    grid = _mc_grid(params, t)
-    L, amp = embedding_spectrum(params.model, grid)
-    ints = np.empty((2, 5, params.n_samples))
+    L, _eig, amp = _embedding(params.model, grid.dt, grid.n_steps)
     for start in range(0, params.n_samples, _BLOCK):
         stop = min(start + _BLOCK, params.n_samples)
-        xi = _draw_streams([(params.seed, t_index, j) for j in range(start, stop)],
-                           L, amp, grid.n_steps)
-        for out, x in zip(ints, params.positions):
-            out[:, start:stop] = _integrals_at(xi[0], xi[1], grid, t, x,
-                                               params.constants.c)
-    return ints
+        yield slice(start, stop), _draw_streams(
+            [(params.seed, t_index, j) for j in range(start, stop)],
+            L, amp, grid.n_steps, streams)
 
 
 def sample_phases(params: McParams, t: float, t_index: int = 0):
-    """All per-sample phases ``(phi_x, phi_x')`` at flight time ``t``."""
-    ints_a, ints_b = _sample_integrals(params, t, t_index)
-    dt = params.dt_effective
-    return _phase(ints_a, dt, params), _phase(ints_b, dt, params)
+    """All per-sample phases ``(phi_x, phi_x')`` at flight time ``t``, streams as drawn."""
+    grid = _mc_grid(params, t)
+    phases = np.empty((2, params.n_samples))
+    for block, xi in _keyed_blocks(params, t_index, grid):
+        for out, x in zip(phases, params.positions):
+            out[block] = _phase_at(xi[0], xi[1], grid, t, x, params)
+    return phases[0], phases[1]
+
+
+def _conditional_coherences(params: McParams, t: float, t_index: int) -> np.ndarray:
+    """Every draw's ``z_j = E[exp(i dphi) | xi-]`` at flight time ``t``.
+
+    Given the minus stream m of draw j (stream 1 of its key), the phase
+    difference is ``const(m) + h(m).p + p^T diag(D) p`` in the plus stream
+    ``p ~ N(0, C)``, with C the clipped circulant covariance the sampler
+    draws from.  D, the difference of the two windows' trapezoid weights,
+    is non-zero only on the edge set E where the windows do not overlap.
+    The Gaussian integral over p, with g = C h and Woodbury on E, is
+
+        z_j = det(I - 2i D_E C_EE)^(-1/2) exp(i const)
+              exp(-1/2 [h^T C h - g_E^T ((-2i D_E)^-1 + C_EE)^-1 g_E]).
+
+    ``h^T C h`` is Parseval against the eigenvalues, ``g_E = C_{E,:} h`` a
+    matmul.  The determinant is the product of the principal roots
+    ``(1 - 2i mu)^(-1/2)`` over the real eigenvalues mu of ``D_E C_EE``
+    (a log-determinant's phase would lose the branch).
+    """
+    grid = _mc_grid(params, t)
+    n, a0 = grid.n_steps, params.a0
+    scale = _phase_scale(params, grid.dt)
+    # the phase difference is phi(x') - phi(x): position x enters with sign -1
+    signed = [(sign, *_windows(grid, t, x, params.constants.c))
+              for sign, x in zip((-1.0, 1.0), params.positions)]
+    k_t = signed[0][1]
+    w = np.ones(k_t + 1)
+    w[0] = w[-1] = 0.5
+
+    weights = np.zeros(n)
+    for sign, _k_t, plus, _minus in signed:
+        weights[plus:plus + k_t + 1] += sign * w
+    edge = np.flatnonzero(weights)
+    d_edge = 0.5 * scale * a0**2 * weights[edge]
+    L, eig, _amp = _embedding(params.model, grid.dt, n)
+    row = np.fft.irfft(eig[:L // 2 + 1], n=L)    # circulant covariance C[k, 0]
+    c_edge = row[np.abs(edge[:, None] - np.arange(n))]     # C_{E,:}
+    c_ee = c_edge[:, edge]
+    # eigenvalues of D_E C_EE: with A = |D|^1/2 C_EE |D|^1/2 = R R^T, those
+    # of R^T sign(D) R, a real symmetric matrix even where C_EE is singular
+    root_d = np.sqrt(np.abs(d_edge))
+    lam, vec = np.linalg.eigh(root_d[:, None] * c_ee * root_d)
+    r = vec * np.sqrt(np.clip(lam, 0.0, None))
+    mu = np.linalg.eigvalsh(r.T @ (np.sign(d_edge)[:, None] * r))
+    det_factor = np.prod((1.0 - 2.0j * mu) ** -0.5)
+    # ((-2i D_E)^-1 + C_EE)^-1 = (I - 2i D_E C_EE)^-1 (-2i D_E)
+    woodbury = np.linalg.solve(np.eye(edge.size) - 2.0j * d_edge[:, None] * c_ee,
+                               np.diag(-2.0j * d_edge))
+    parseval = np.full(L // 2 + 1, 2.0 / L) * eig[:L // 2 + 1]
+    parseval[[0, -1]] *= 0.5
+
+    z = np.empty(params.n_samples, dtype=complex)
+    for block, xi in _keyed_blocks(params, t_index, grid, streams=(1,)):
+        m = xi[0]
+        h = np.zeros_like(m)
+        const = 0.0
+        for sign, _k_t, plus, minus in signed:
+            seg = m[:, minus:minus + k_t + 1]
+            h[:, plus:plus + k_t + 1] += sign * w * (a0 + a0**2 * seg)
+            const = const + sign * (a0 * _trapz(seg) + 0.5 * a0**2 * _trapz(seg, seg))
+        h *= scale
+        spec = np.fft.rfft(h, n=L, axis=-1)
+        h_c_h = (spec.real**2 + spec.imag**2) @ parseval
+        g = h @ c_edge.T
+        quad = h_c_h - ((g @ woodbury) * g).sum(axis=-1)
+        z[block] = det_factor * np.exp(1j * scale * const - 0.5 * quad)
+    return z
 
 
 def coherence_mc(params: McParams) -> CoherenceEstimate:
     """Ensemble coherence ``M[exp(i (phi(x') - phi(x)))]`` for every T.
 
-    Each T uses its own independent ensemble of ``n_samples`` draws.  The
-    streams' Gaussian measure is unchanged by ``xi+ -> -xi+`` and
-    ``xi- -> -xi-``, so each draw is scored as ``z_j``, the average of
-    ``exp(i dphi)`` over its four sign patterns.  The patterns ``(s+, s-)``
-    and ``(-s+, -s-)`` share the quadratic phase ``Q`` and negate the linear
-    one ``L``, so ``z_j = (exp(i Q_same) cos L_same + exp(i Q_opp) cos L_opp)
-    / 2``.  The standard error is that of the coherence magnitude: the
-    sample standard deviation of ``z_j`` along the mean direction over
+    Each T uses its own independent ensemble of ``n_samples`` draws.  Only
+    the minus stream is drawn: each draw is scored as its exact conditional
+    coherence ``z_j = E[exp(i dphi) | xi-]``, the plus stream integrated in
+    closed form (``_conditional_coherences``; conditional Monte Carlo, or
+    Rao-Blackwellization).  The mean of ``z_j`` is unbiased for the
+    coherence, with a smaller variance than ``exp(i dphi)`` of the draws.
+    The standard error is that of the coherence magnitude: the sample
+    standard deviation of ``z_j`` along the mean direction over
     ``sqrt(n_samples)``.
     """
     if params.n_samples < 100:
@@ -277,14 +329,7 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
             f"n_samples = {params.n_samples} < 100 gives meaningless statistics")
     records = []
     for t_index, t in enumerate(params.t_list):
-        ints_a, ints_b = _sample_integrals(params, t, t_index)
-        z = np.zeros(params.n_samples, dtype=complex)
-        for sign_minus in (1.0, -1.0):
-            (lin_a, quad_a), (lin_b, quad_b) = (
-                _phase_terms(ints, params.dt_effective, params, sign_minus)
-                for ints in (ints_a, ints_b))
-            z += np.exp(1j * (quad_b - quad_a)) * np.cos(lin_b - lin_a)
-        z *= 0.5
+        z = _conditional_coherences(params, t, t_index)
         mean = z.mean()
         along = (z * np.exp(-1j * np.angle(mean))).real
         records.append(CoherenceRecord(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confdec.errors import IndefiniteCovariance, ResolutionError
-from confdec.field import (CorrelationModel, FieldGrid, embedding_spectrum,
+from confdec.field import (CorrelationModel, FieldGrid, _embedding, embedding_spectrum,
                            estimate_g1, estimate_g2, odd_moment_check,
                            sample_field)
 
@@ -176,6 +176,21 @@ class TestSampling:
         k = np.arange(L)
         eig = np.fft.fft(model.g1(np.minimum(k, L - k) * DT)).real
         assert eig.min() >= -1e-13 * eig.max()
+
+    def test_spectrum_memoized_read_only(self):
+        # one spectrum per (model, dt, n_steps): a second call, on a grid
+        # that differs only in its start, returns the same read-only arrays
+        model = CorrelationModel.gaussian(TAU)
+        L, amp = embedding_spectrum(model, FieldGrid(dt=DT, n_steps=300))
+        again = embedding_spectrum(CorrelationModel.gaussian(TAU),
+                                   FieldGrid(dt=DT, n_steps=300, t_start=-5.0))
+        assert again[0] == L and again[1] is amp
+        emb = _embedding(model, DT, 300)
+        assert emb is _embedding(model, DT, 300) and emb[2] is amp
+        for arr in emb[1:]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_indefinite_table_rejected(self):
         m = CorrelationModel(kind="tabulated", tau=1.0,

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from confdec import cli, errors
-from confdec.bounds import CosmoSourceParams, ExperimentParams
+from confdec.bounds import (CosmoSourceParams, ExperimentParams, build_cutoff_model,
+                            conformal_amplitude, mode_density,
+                            zero_point_energy_density)
 from confdec.field import CorrelationModel, FieldGrid
 from confdec.master import (GrwParams, closed_form_kernel, decoherence_factor,
                             evolve_with_free_hamiltonian, general_kernel, grw_params,
@@ -66,6 +68,13 @@ BAD_VALUE_CASES = {
         lambda v: decoherence_factor(1.0, v, GrwParams(1e-4, 8.0)), "t must be"),
     "closed_form_kernel.t_total": (
         lambda v: closed_form_kernel(1.0, v, 1.0, 0.1, 1.0), "t_total"),
+    "build_cutoff_model.lambda_cut": (lambda v: build_cutoff_model(v), "lambda_cut"),
+    "conformal_amplitude.mass_density": (
+        lambda v: conformal_amplitude(v, 1e-13), "mass_density"),
+    "conformal_amplitude.tau": (lambda v: conformal_amplitude(1e-26, v), "tau"),
+    "mode_density.omega": (lambda v: mode_density(v), "omega"),
+    "zero_point_energy_density.omega_max": (
+        lambda v: zero_point_energy_density(v), "omega_max"),
 }
 
 # separations refused as NaN only: an infinite one is the saturated kernel
