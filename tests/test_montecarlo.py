@@ -20,14 +20,15 @@ def default_params(**kw):
     return McParams(**base)
 
 
-def reference_phases(params: McParams, t: float, t_index: int = 0) -> np.ndarray:
+def reference_phases(params: McParams, t: float, t_index: int = 0,
+                     signs: tuple[float, float] = (1.0, 1.0)) -> np.ndarray:
     """Every draw's phases by direct quadrature: ``(n_samples, 2 positions)``.
 
     Each draw is rebuilt with ``sample_field`` from its ``(seed, t_index, j)``
     key.  At each position x it reads xi+ at t' - x/c and xi- at t' + x/c,
     for the nodes t' of [0, t], with ``np.interp``, and integrates the
-    potential ``a0 s + a0^2 s^2 / 2`` of ``s = xi+ + xi-`` with an explicit
-    trapezoid.
+    potential ``a0 s + a0^2 s^2 / 2`` of ``s = signs[0] xi+ + signs[1] xi-``
+    with an explicit trapezoid.
     """
     grid = _mc_grid(params, t)
     dt, c = params.dt_effective, params.constants.c
@@ -40,8 +41,8 @@ def reference_phases(params: McParams, t: float, t_index: int = 0) -> np.ndarray
     for j in range(params.n_samples):
         r = sample_field(params.model, grid, (params.seed, t_index, j))
         for i, x in enumerate(params.positions):
-            s = (np.interp(nodes - x / c, times, r.xi_plus)
-                 + np.interp(nodes + x / c, times, r.xi_minus))
+            s = (signs[0] * np.interp(nodes - x / c, times, r.xi_plus)
+                 + signs[1] * np.interp(nodes + x / c, times, r.xi_minus))
             out[j, i] = pref * ((params.a0 * s + 0.5 * params.a0**2 * s * s) @ weights)
     return out
 
@@ -216,6 +217,31 @@ class TestSampling:
             rec = coherence_mc(p).records[0]
             assert rec.mean == pytest.approx(complex(z.mean()), rel=1e-12)
             assert rec.stderr == pytest.approx(projected_stderr(z), rel=1e-12)
+
+    def test_stderr_is_projected_std_of_sampled_phases(self):
+        # the record's stderr is the sample std of the per-draw conditional
+        # coherence z_j along the mean direction, over sqrt(n), at each
+        # t_index of the run
+        p = default_params(positions=(0.0, 1.0), t_list=(16.0, 32.0),
+                           n_samples=128)
+        for t_index, rec in enumerate(coherence_mc(p).records):
+            z = conditional_coherences(p, rec.t, t_index)
+            assert rec.stderr == pytest.approx(projected_stderr(z), rel=1e-12)
+
+    def test_coherence_averages_the_four_sign_patterns(self):
+        # each stream-sign pattern (+-xi+, +-xi-) of a draw has the draw's
+        # law, so the per-draw average of exp(i dphi) over the four patterns
+        # has the coherence as its mean, as does the conditional score; on
+        # the same keyed draws the paired difference of the two must vanish
+        # within its own sampling noise
+        p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=200)
+        four = np.mean([np.exp(1j * np.diff(reference_phases(p, 16.0, 0, signs),
+                                            axis=1)[:, 0])
+                        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))], axis=0)
+        d = conditional_coherences(p, 16.0) - four
+        assert np.all(np.abs(d) > 0.0)
+        for part in (d.real, d.imag):
+            assert abs(part.mean()) <= 4.0 * part.std(ddof=1) / math.sqrt(d.size)
 
     def test_conditioning_cuts_the_stderr(self):
         # on the gate's grid the conditional estimator beats the plain
