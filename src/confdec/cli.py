@@ -30,8 +30,8 @@ from .bounds import (CosmoSourceParams, ExperimentParams, bound_report,
                      lambda_bound)
 from .core import NATURAL, SI
 from .errors import ConfdecError, UndersampledSignal
-from .field import (CorrelationModel, FieldGrid, estimate_g1, estimate_g2,
-                    odd_moment_check, sample_field)
+from .field import (CorrelationModel, FieldGrid, _grid_step, estimate_g1,
+                    estimate_g2, odd_moment_check, sample_field)
 from .master import (GrwParams, closed_form_kernel, decoherence_factor,
                      evolve_pure_decoherence, evolve_with_free_hamiltonian,
                      general_kernel, grw_params)
@@ -234,7 +234,7 @@ def _correlation_model(params) -> CorrelationModel:
 def cmd_field(params) -> int:
     constants, tlab, _ = UNITS[params["units"]]
     model = _correlation_model(params)
-    dt = params["dt"] if params["dt"] is not None else model.tau / 8.0
+    dt = _grid_step(model, params["dt"])
     max_lag = (params["max_lag"] if params["max_lag"] is not None
                else 3.0 * model.tau)
     grid = FieldGrid(dt=dt, n_steps=params["n_steps"])

@@ -180,22 +180,26 @@ def _seed_entropy(seed) -> tuple:
     raise ValueError(f"seed must be an int or tuple of ints, got {type(seed)}")
 
 
-def _check_resolution(model: CorrelationModel, dt: float):
-    if dt > model.tau / 8.0 * (1.0 + 1e-12):
-        raise ResolutionError(
-            f"dt = {dt} exceeds tau/8 = {model.tau / 8.0}; refine the grid")
+def _grid_step(model: CorrelationModel, dt: float | None = None) -> float:
+    """The step: ``dt``, or ``tau / 8`` if None; ``ResolutionError`` if coarser."""
+    finest = model.tau / 8.0
+    if dt is not None and dt > finest * (1.0 + 1e-12):
+        raise ResolutionError(f"dt = {dt} exceeds tau/8 = {finest}; refine the grid")
+    return finest if dt is None else dt
 
 
 @functools.lru_cache(maxsize=64)
 def _embedding(model: CorrelationModel, dt: float, n_steps: int):
-    """Circulant length, clipped eigenvalues and half-spectrum amplitudes.
+    """Circulant length, amplitudes, covariance row and Parseval weights.
 
     The one owner of the embedding spectrum, memoized on ``(model, dt,
-    n_steps)``.  Returns ``(L, eig, amp)`` with read-only arrays: ``L`` is
-    the (even) embedding length, ``eig`` the ``L`` circulant eigenvalues
-    clipped at zero, so that the synthesized streams have exactly the
-    circulant covariance ``ifft(eig)``, and ``amp`` the ``L//2 + 1``
-    amplitudes that ``_irfft_normals`` weights the normals by.
+    n_steps)``.  Its ``L`` circulant eigenvalues are clipped at zero, so
+    that the synthesized streams have exactly the covariance C they define.
+    Returns ``(L, amp, row, parseval)`` with read-only arrays: ``L`` is the
+    (even) embedding length, ``amp`` the ``L//2 + 1`` amplitudes that
+    ``_irfft_normals`` weights the normals by, ``row`` the circulant
+    covariance ``C[k, 0]`` for ``k < L``, and ``parseval`` the ``L//2 + 1``
+    weights with ``h^T C h = sum_j parseval_j |rfft(h, n=L)_j|^2`` for real h.
     """
     pad = int(math.ceil(_PAD_CORR_TIMES * model.tau / dt))
     L = next_fast_len(n_steps + pad)
@@ -214,9 +218,12 @@ def _embedding(model: CorrelationModel, dt: float, n_steps: int):
     amp[0] = math.sqrt(eig[0] * L)
     amp[-1] = math.sqrt(eig[L // 2] * L)
     amp[1:-1] = np.sqrt(eig[1:L // 2] * L / 2.0)
-    eig.setflags(write=False)
-    amp.setflags(write=False)
-    return L, eig, amp
+    row = np.fft.irfft(eig[:half], n=L)
+    parseval = np.full(half, 2.0 / L) * eig[:half]
+    parseval[[0, -1]] *= 0.5
+    for arr in (amp, row, parseval):
+        arr.setflags(write=False)
+    return L, amp, row, parseval
 
 
 def embedding_spectrum(model: CorrelationModel, grid: FieldGrid):
@@ -227,8 +234,7 @@ def embedding_spectrum(model: CorrelationModel, grid: FieldGrid):
     with unit normals ``a, b`` through ``irfft`` yields a realization whose
     retained covariance matches ``g1`` up to terms of order ``g1(8 tau)``.
     """
-    L, _eig, amp = _embedding(model, grid.dt, grid.n_steps)
-    return L, amp
+    return _embedding(model, grid.dt, grid.n_steps)[:2]
 
 
 def _irfft_normals(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -278,7 +284,7 @@ def sample_field(model: CorrelationModel, grid: FieldGrid, seed) -> FieldRealiza
     realizations.  The two streams come from separate children of the seed
     so they are independent and individually reproducible.
     """
-    _check_resolution(model, grid.dt)
+    _grid_step(model, grid.dt)
     L, amp = embedding_spectrum(model, grid)
     xi = _draw_streams([_seed_entropy(seed)], L, amp, grid.n_steps)
     return FieldRealization(grid=grid, xi_plus=xi[0, 0].copy(),
@@ -310,6 +316,8 @@ def _block_stderr(block_len: int, *series: np.ndarray) -> float:
 
 def _correlation_scan(realization, max_lag, transform):
     grid = realization.grid
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be non-negative, got {max_lag}")
     if max_lag > grid.duration / 4.0:
         raise ValueError("max_lag must not exceed a quarter of the duration")
     n_lags = int(math.floor(max_lag / grid.dt + 1e-9))

@@ -98,14 +98,13 @@ def density_matrix_from_json(path) -> DensityMatrix:
     return DensityMatrix(x_grid=x, entries=entries)
 
 
-def density_matrix_to_csv(rho: DensityMatrix, path, length_unit: str = "1"):
+def density_matrix_to_csv(rho: DensityMatrix, path):
     rows = []
     for i, xi in enumerate(rho.x_grid):
         for j, xj in enumerate(rho.x_grid):
             v = rho.entries[i, j]
             rows.append((xi, xj, v.real, v.imag))
-    write_csv(path, [f"x_i[{length_unit}]", f"x_j[{length_unit}]",
-                     "re[1]", "im[1]"], rows)
+    write_csv(path, ["x_i[1]", "x_j[1]", "re[1]", "im[1]"], rows)
 
 
 def density_matrix_from_csv(path) -> DensityMatrix:

@@ -78,6 +78,13 @@ def decoherence_factor(delta_x, t, params: GrwParams):
     return float(out) if out.ndim == 0 else out
 
 
+def _grid_points(x_grid) -> np.ndarray:
+    x = np.asarray(x_grid, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("x_grid must be 1-d with at least two points")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Position-space density matrix on a uniform grid.
@@ -91,10 +98,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x_grid, dtype=float)
+        x = _grid_points(self.x_grid)
         e = np.asarray(self.entries, dtype=complex)
-        if x.ndim != 1 or x.size < 2:
-            raise ValueError("x_grid must be 1-d with at least two points")
         if e.shape != (x.size, x.size):
             raise ValueError("entries must be square and match the grid")
         if not (np.isfinite(x).all() and np.isfinite(e).all()):
@@ -133,7 +138,7 @@ class DensityMatrix:
         """Hermitize roundoff and rescale so that ``trace * dx = 1``."""
         e = np.asarray(entries, dtype=complex)
         e = 0.5 * (e + e.conj().T)
-        x = np.asarray(x_grid, dtype=float)
+        x = _grid_points(x_grid)
         dx = float(x[1] - x[0])
         tr = float(np.real(np.trace(e))) * dx
         if tr <= 0:

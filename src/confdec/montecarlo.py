@@ -38,7 +38,7 @@ from .core import NATURAL, PhysicalConstants
 from .errors import (FitDegenerate, InsufficientSamples, OutOfRange,
                      UndersampledSignal)
 from .field import (CorrelationModel, FieldGrid, FieldRealization,
-                    _check_resolution, _draw_streams, _embedding)
+                    _draw_streams, _embedding, _grid_step, embedding_spectrum)
 
 _BLOCK = 256            # samples per synthesis batch: bounds the streams held in memory
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
@@ -90,21 +90,21 @@ class McParams:
             raise ValueError("t_list must not be empty")
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        _check_resolution(self.model, self.dt_effective)
+        dt = self.dt_effective    # ResolutionError if coarser than tau/8
         for x in self.positions:
-            _whole_steps(x, self.constants.c * self.dt_effective, "position", "c*dt")
+            _whole_steps(x, self.constants.c * dt, "position", "c*dt")
         dx_time = abs(self.positions[1] - self.positions[0]) / self.constants.c
         for t in self.t_list:
             if t <= 10.0 * dx_time:
                 raise ValueError(
                     f"T = {t} must exceed 10 |x - x'| / c = {10.0 * dx_time}")
-            _whole_steps(t, self.dt_effective, "T")
+            _whole_steps(t, dt, "T")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
     @property
     def dt_effective(self) -> float:
-        return self.tau / 8.0 if self.dt is None else self.dt
+        return _grid_step(self.model, self.dt)
 
     @property
     def delta_x(self) -> float:
@@ -178,12 +178,11 @@ def _windows(grid: FieldGrid, t: float, x: float, c: float) -> tuple:
     return (k_t, *starts)
 
 
-def _trapz(f: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise trapezoid sum of ``f`` (or of ``f * g``) for 2-D ``f``, per unit step."""
-    if g is None:
-        return f.sum(axis=-1) - 0.5 * (f[:, 0] + f[:, -1])
-    return (np.einsum("ij,ij->i", f, g)
-            - 0.5 * (f[:, 0] * g[:, 0] + f[:, -1] * g[:, -1]))
+def _potential_sum(s: np.ndarray, a0: float) -> np.ndarray:
+    """Row-wise trapezoid sum of ``a0 s + a0^2 s^2 / 2`` for 2-D ``s``, per unit step."""
+    return (a0 * (s.sum(axis=-1) - 0.5 * (s[:, 0] + s[:, -1]))
+            + 0.5 * a0**2 * (np.einsum("ij,ij->i", s, s)
+                             - 0.5 * (s[:, 0] * s[:, 0] + s[:, -1] * s[:, -1])))
 
 
 def _phase_scale(params: McParams, dt: float) -> float:
@@ -202,8 +201,7 @@ def _phase_at(xi_p, xi_m, grid: FieldGrid, t: float, x: float,
     """
     k_t, plus, minus = _windows(grid, t, x, params.constants.c)
     s = xi_p[..., plus:plus + k_t + 1] + xi_m[..., minus:minus + k_t + 1]
-    return _phase_scale(params, grid.dt) * (
-        params.a0 * _trapz(s) + 0.5 * params.a0**2 * _trapz(s, s))
+    return _phase_scale(params, grid.dt) * _potential_sum(s, params.a0)
 
 
 def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
@@ -225,7 +223,7 @@ def _keyed_blocks(params: McParams, t_index: int, grid: FieldGrid, streams=(0, 1
 
     ``xi`` holds the given streams of the batch, ``(len(streams), b, n)``.
     """
-    L, _eig, amp = _embedding(params.model, grid.dt, grid.n_steps)
+    L, amp = embedding_spectrum(params.model, grid)
     for start in range(0, params.n_samples, _BLOCK):
         stop = min(start + _BLOCK, params.n_samples)
         yield slice(start, stop), _draw_streams(
@@ -256,10 +254,10 @@ def _conditional_coherences(params: McParams, t: float, t_index: int) -> np.ndar
         z_j = det(I - 2i D_E C_EE)^(-1/2) exp(i const)
               exp(-1/2 [h^T C h - g_E^T ((-2i D_E)^-1 + C_EE)^-1 g_E]).
 
-    ``h^T C h`` is Parseval against the eigenvalues, ``g_E = C_{E,:} h`` a
-    matmul.  The determinant is the product of the principal roots
-    ``(1 - 2i mu)^(-1/2)`` over the real eigenvalues mu of ``D_E C_EE``
-    (a log-determinant's phase would lose the branch).
+    ``h^T C h`` is a Parseval sum and ``g_E = C_{E,:} h`` a matmul, both from
+    ``field``'s covariance.  The reflection that swaps the two windows maps D
+    to -D and keeps the Toeplitz C, so the real eigenvalues of ``D_E C_EE``
+    pair as +-mu and the determinant ``prod (1 + 4 mu^2)`` is real and positive.
     """
     grid = _mc_grid(params, t)
     n, a0 = grid.n_steps, params.a0
@@ -276,22 +274,12 @@ def _conditional_coherences(params: McParams, t: float, t_index: int) -> np.ndar
         weights[plus:plus + k_t + 1] += sign * w
     edge = np.flatnonzero(weights)
     d_edge = 0.5 * scale * a0**2 * weights[edge]
-    L, eig, _amp = _embedding(params.model, grid.dt, n)
-    row = np.fft.irfft(eig[:L // 2 + 1], n=L)    # circulant covariance C[k, 0]
+    L, _amp, row, parseval = _embedding(params.model, grid.dt, n)
     c_edge = row[np.abs(edge[:, None] - np.arange(n))]     # C_{E,:}
-    c_ee = c_edge[:, edge]
-    # eigenvalues of D_E C_EE: with A = |D|^1/2 C_EE |D|^1/2 = R R^T, those
-    # of R^T sign(D) R, a real symmetric matrix even where C_EE is singular
-    root_d = np.sqrt(np.abs(d_edge))
-    lam, vec = np.linalg.eigh(root_d[:, None] * c_ee * root_d)
-    r = vec * np.sqrt(np.clip(lam, 0.0, None))
-    mu = np.linalg.eigvalsh(r.T @ (np.sign(d_edge)[:, None] * r))
-    det_factor = np.prod((1.0 - 2.0j * mu) ** -0.5)
+    m_ee = np.eye(edge.size) - 2.0j * d_edge[:, None] * c_edge[:, edge]
+    det_factor = math.exp(-0.5 * np.linalg.slogdet(m_ee).logabsdet)
     # ((-2i D_E)^-1 + C_EE)^-1 = (I - 2i D_E C_EE)^-1 (-2i D_E)
-    woodbury = np.linalg.solve(np.eye(edge.size) - 2.0j * d_edge[:, None] * c_ee,
-                               np.diag(-2.0j * d_edge))
-    parseval = np.full(L // 2 + 1, 2.0 / L) * eig[:L // 2 + 1]
-    parseval[[0, -1]] *= 0.5
+    woodbury = np.linalg.solve(m_ee, np.diag(-2.0j * d_edge))
 
     z = np.empty(params.n_samples, dtype=complex)
     for block, xi in _keyed_blocks(params, t_index, grid, streams=(1,)):
@@ -301,7 +289,7 @@ def _conditional_coherences(params: McParams, t: float, t_index: int) -> np.ndar
         for sign, _k_t, plus, minus in signed:
             seg = m[:, minus:minus + k_t + 1]
             h[:, plus:plus + k_t + 1] += sign * w * (a0 + a0**2 * seg)
-            const = const + sign * (a0 * _trapz(seg) + 0.5 * a0**2 * _trapz(seg, seg))
+            const = const + sign * _potential_sum(seg, a0)
         h *= scale
         spec = np.fft.rfft(h, n=L, axis=-1)
         h_c_h = (spec.real**2 + spec.imag**2) @ parseval

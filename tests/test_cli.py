@@ -244,6 +244,13 @@ class TestFieldCommand:
         for path in d1.iterdir():
             assert read_bytes(path) == read_bytes(d2 / path.name), path.name
 
+    def test_negative_max_lag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["field", "--n-steps", "1000", "--max-lag", "-1",
+                     "--out", str(out)]) == 2
+        assert "max_lag must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unordered_table_rejected(self, tmp_path, capsys):
         table = tmp_path / "g1.csv"
         table.write_text("0,1\n2,0.6\n1,0.8\n4,0\n")

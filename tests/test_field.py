@@ -186,7 +186,7 @@ class TestSampling:
                                    FieldGrid(dt=DT, n_steps=300, t_start=-5.0))
         assert again[0] == L and again[1] is amp
         emb = _embedding(model, DT, 300)
-        assert emb is _embedding(model, DT, 300) and emb[2] is amp
+        assert emb is _embedding(model, DT, 300) and emb[1] is amp
         for arr in emb[1:]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -277,8 +277,11 @@ class TestEstimators:
             assert math.isfinite(err) and err > 0, order
 
     def test_max_lag_guard(self, realization):
-        with pytest.raises(ValueError):
-            estimate_g1(realization, realization.grid.duration)
+        for estimate in (estimate_g1, estimate_g2):
+            with pytest.raises(ValueError, match="quarter of the duration"):
+                estimate(realization, realization.grid.duration)
+            with pytest.raises(ValueError, match="max_lag must be non-negative"):
+                estimate(realization, -1.0)
 
     def test_lag_axis(self, realization):
         est = estimate_g1(realization, 2.0)

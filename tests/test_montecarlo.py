@@ -25,25 +25,21 @@ def reference_phases(params: McParams, t: float, t_index: int = 0,
     """Every draw's phases by direct quadrature: ``(n_samples, 2 positions)``.
 
     Each draw is rebuilt with ``sample_field`` from its ``(seed, t_index, j)``
-    key.  At each position x it reads xi+ at t' - x/c and xi- at t' + x/c,
-    for the nodes t' of [0, t], with ``np.interp``, and integrates the
-    potential ``a0 s + a0^2 s^2 / 2`` of ``s = signs[0] xi+ + signs[1] xi-``
-    with an explicit trapezoid.
+    key.  At a position ``off`` steps from x = 0 it reads xi+ at the nodes
+    ``k0 + k - off`` (t' - x/c) and xi- at ``k0 + k + off`` (t' + x/c), for
+    the nodes t' = k dt of [0, t], and integrates the potential
+    ``a0 s + a0^2 s^2 / 2`` of ``s = signs[0] xi+ + signs[1] xi-`` with an
+    explicit trapezoid.
     """
+    k0, k_t, offsets, w, pref, _cov = stream_setup(params, t)
     grid = _mc_grid(params, t)
-    dt, c = params.dt_effective, params.constants.c
-    k_t = round(t / dt)
-    times, nodes = grid.times(), np.arange(k_t + 1) * dt
-    weights = np.full(k_t + 1, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    pref = -params.mass * c**2 / params.constants.hbar
+    nodes = k0 + np.arange(k_t + 1)
     out = np.empty((params.n_samples, 2))
     for j in range(params.n_samples):
         r = sample_field(params.model, grid, (params.seed, t_index, j))
-        for i, x in enumerate(params.positions):
-            s = (signs[0] * np.interp(nodes - x / c, times, r.xi_plus)
-                 + signs[1] * np.interp(nodes + x / c, times, r.xi_minus))
-            out[j, i] = pref * ((params.a0 * s + 0.5 * params.a0**2 * s * s) @ weights)
+        for i, off in enumerate(offsets):
+            s = signs[0] * r.xi_plus[nodes - off] + signs[1] * r.xi_minus[nodes + off]
+            out[j, i] = pref * ((params.a0 * s + 0.5 * params.a0**2 * s * s) @ w)
     return out
 
 

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from confdec import cli, errors
+from confdec import cli, errors, io
 from confdec.bounds import (CosmoSourceParams, ExperimentParams, build_cutoff_model,
                             conformal_amplitude, mode_density,
                             zero_point_energy_density)
-from confdec.field import CorrelationModel, FieldGrid
-from confdec.master import (GrwParams, closed_form_kernel, decoherence_factor,
-                            evolve_with_free_hamiltonian, general_kernel, grw_params,
-                            superposed_gaussians)
-from confdec.montecarlo import McParams
+from confdec.field import CorrelationModel, FieldGrid, FieldRealization
+from confdec.master import (DensityMatrix, GrwParams, closed_form_kernel,
+                            decoherence_factor, evolve_with_free_hamiltonian,
+                            general_kernel, grw_params, superposed_gaussians)
+from confdec.montecarlo import McParams, accumulate_phase
 
 
 def mc_params(**kw):
@@ -97,6 +97,63 @@ BAD_VALUES = [pytest.param(build, value, names, id=name + suffix)
 def test_nan_rejected(build, value, names):
     with pytest.raises(ValueError, match=names):
         build(value)
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _zero_realization(n_plus=64):
+    grid = FieldGrid(dt=0.125, n_steps=64, t_start=-2.0)
+    return FieldRealization(grid=grid, xi_plus=np.zeros(n_plus), xi_minus=np.zeros(64))
+
+
+# (builder taking a scratch directory, the refusal's message): each a ValueError
+REFUSALS = {
+    "McParams.positions_not_a_pair": (
+        lambda tmp: mc_params(positions=(0.0,)), "positions must be a pair"),
+    "McParams.empty_t_list": (lambda tmp: mc_params(t_list=()), "t_list must not be empty"),
+    "accumulate_phase.zero_t_final": (
+        lambda tmp: accumulate_phase(_zero_realization(), 0.0, 0.0, mc_params()),
+        "t_final must be at least one step"),
+    "CorrelationModel.unknown_kind": (
+        lambda tmp: CorrelationModel(kind="lorentzian"), "unknown correlation kind"),
+    "CorrelationModel.one_pair": (
+        lambda tmp: CorrelationModel(kind="tabulated", table=((0.0, 1.0),)),
+        "at least two"),
+    "CorrelationModel.no_decay": (
+        lambda tmp: CorrelationModel(kind="tabulated", table=((0.0, 1.0), (1.0, 1e-6))),
+        "table must decay"),
+    "CorrelationModel.tabulated_shapes": (
+        lambda tmp: CorrelationModel.tabulated([0.0, 1.0, 2.0], [1.0, 0.0]),
+        "equal length"),
+    "FieldRealization.stream_length": (
+        lambda tmp: _zero_realization(n_plus=63), "stream length does not match grid"),
+    "DensityMatrix.one_point_grid": (
+        lambda tmp: DensityMatrix.from_unnormalized([0.0], [[1.0]]),
+        "x_grid must be 1-d with at least two points"),
+    "superposed_gaussians.one_point_grid": (
+        lambda tmp: superposed_gaussians([0.0], sigma=1.0, separation=2.0),
+        "x_grid must be 1-d with at least two points"),
+    "density_matrix_from_json.entries_shape": (
+        lambda tmp: io.density_matrix_from_json(_write(
+            tmp / "rho.json", '{"grid": {"n": 2, "dx": 1.0, "x0": 0.0}, '
+                              '"entries": [[1.0, 0.0]]}')),
+        "entries must hold n\\*n"),
+    "evolve_with_free_hamiltonian.negative_n_steps": (
+        lambda tmp: evolve_with_free_hamiltonian(rho(), GrwParams(1e-4, 8.0), 1.0, 0.05, -1),
+        "n_steps must be non-negative"),
+    "config.line_without_equals": (
+        lambda tmp: cli._load_config(_write(tmp / "run.cfg", "n_steps 1024\n")),
+        "config line has no '='"),
+}
+
+
+@pytest.mark.parametrize("build, message", list(REFUSALS.values()), ids=list(REFUSALS))
+def test_refused(tmp_path, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(tmp_path)
 
 
 def _subclasses(cls):
