@@ -30,8 +30,8 @@ from confdec.montecarlo import McParams, coherence_mc
 RUNS = [
     ("field", ["field", "--n-steps", "1000"]),
     ("mc", ["mc", "--n-samples", "100"]),
-    ("mc-noise", ["mc", "--mass", "4", "--dx", "5", "--t-list", "100,125,150,200",
-                  "--n-samples", "100", "--seed", "8"]),
+    ("mc-noise", ["mc", "--mass", "13", "--dx", "5", "--t-list", "100,125,150,200",
+                  "--n-samples", "100", "--seed", "9"]),
     ("kernel", ["kernel", "--dx-list", "0,1,5", "--compare-t", "100"]),
     ("kernel-tabulated", ["kernel", "--dx-list", "0,1,5", "--compare-t", "100",
                           "--g1-table", "g1.csv"]),

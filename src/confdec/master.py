@@ -78,11 +78,15 @@ def decoherence_factor(delta_x, t, params: GrwParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _grid_points(x_grid) -> np.ndarray:
+def _grid_and_entries(x_grid, entries) -> tuple:
+    """``(x, e)`` as float and complex arrays, refused unless e is n x n on the n-point grid x."""
     x = np.asarray(x_grid, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("x_grid must be 1-d with at least two points")
-    return x
+    e = np.asarray(entries, dtype=complex)
+    if e.shape != (x.size, x.size):
+        raise ValueError("entries must be square and match the grid")
+    return x, e
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,10 +102,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        x = _grid_points(self.x_grid)
-        e = np.asarray(self.entries, dtype=complex)
-        if e.shape != (x.size, x.size):
-            raise ValueError("entries must be square and match the grid")
+        x, e = _grid_and_entries(self.x_grid, self.entries)
         if not (np.isfinite(x).all() and np.isfinite(e).all()):
             raise ValueError("x_grid and entries must be finite")
         steps = np.diff(x)
@@ -136,9 +137,8 @@ class DensityMatrix:
     @classmethod
     def from_unnormalized(cls, x_grid, entries) -> "DensityMatrix":
         """Hermitize roundoff and rescale so that ``trace * dx = 1``."""
-        e = np.asarray(entries, dtype=complex)
+        x, e = _grid_and_entries(x_grid, entries)
         e = 0.5 * (e + e.conj().T)
-        x = _grid_points(x_grid)
         dx = float(x[1] - x[0])
         tr = float(np.real(np.trace(e))) * dx
         if tr <= 0:

@@ -9,8 +9,8 @@ from confdec.errors import (FitDegenerate, InsufficientSamples, OutOfRange,
 from confdec.field import (FieldGrid, FieldRealization, embedding_spectrum,
                            sample_field)
 from confdec.montecarlo import (CoherenceEstimate, CoherenceRecord, McParams,
-                                _mc_grid, accumulate_phase, coherence_mc,
-                                fit_decoherence_rate, sample_phases)
+                                _conditional_scorer, _mc_grid, accumulate_phase,
+                                coherence_mc, fit_decoherence_rate, sample_phases)
 
 
 def default_params(**kw):
@@ -242,12 +242,30 @@ class TestSampling:
     def test_conditioning_cuts_the_stderr(self):
         # on the gate's grid the conditional estimator beats the plain
         # single-pattern one, exp(i dphi) of the same keyed draws with both
-        # streams as synthesized (ratio 1.97 at this seed)
+        # streams as synthesized (ratio 24.6 at this seed; 1.97 when only
+        # xi+ is integrated out)
         p = default_params(positions=(0.0, 5.0), t_list=(100.0,), n_samples=2000)
         rec = coherence_mc(p).records[0]
         phi_a, phi_b = sample_phases(p, 100.0)
         plain = projected_stderr(np.exp(1j * (phi_b - phi_a)))
-        assert plain > 1.7 * rec.stderr
+        assert plain > 10.0 * rec.stderr
+
+    @pytest.mark.parametrize("a0, positions, t_list", [
+        (0.1, (0.0, dx), (100.0, 200.0, 300.0, 400.0)) for dx in (0.25, 0.5, 1.0, 2.0, 5.0)
+    ] + [(0.05, (0.0, 5.0), (400.0, 800.0, 1200.0, 1600.0)),
+         (0.1, (0.5, -0.25), (16.0, 32.0)),
+         (0.1, (3.0, 3.0), (100.0,))])
+    def test_linear_direction_spread_is_at_least_one(self, a0, positions, t_list):
+        # Re(1 - 2 gamma sigma^2) = 1 + sigma^2 Re K(h_u, h_u) >= 1, since
+        # |z| <= 1 for every h forces Re K >= 0: the principal root of the
+        # score is the right one on the gate's grids; coincident positions
+        # give sigma^2 = 0 and exactly 1
+        p = default_params(a0=a0, positions=positions, t_list=t_list)
+        for t in t_list:
+            spread, _score = _conditional_scorer(p, _mc_grid(p, t), t)
+            assert spread.real >= 1.0
+            if positions[0] == positions[1]:
+                assert spread == 1.0
 
     def test_insufficient_samples(self):
         p = default_params(n_samples=50)
@@ -264,21 +282,22 @@ class TestSampling:
         assert all(0.0 < abs(r.mean) <= 1.0 for r in est.records)
 
 
-def gaussian_quadratic_expectation(sigma, beta, quad, const=0.0) -> complex:
+def gaussian_quadratic_expectation(sigma, beta, quad, const=0.0):
     """``E[exp(i (const + beta.x + x^T quad x))]`` for ``x ~ N(0, sigma)``.
 
     With ``sigma = R R^T`` from its eigendecomposition and ``d, v`` the
     eigenpairs of the whitened form ``R^T quad R``, it is
     prod (1 - 2 i d_k)^{-1/2} exp(i const - b_k^2 / (2 (1 - 2 i d_k))),
-    ``b = v^T R^T beta``, with principal roots.
+    ``b = v^T R^T beta``, with principal roots.  ``beta`` may stack vectors
+    on leading axes, with ``const`` broadcast against them.
     """
     evals, evecs = np.linalg.eigh(sigma)
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
     m = root.T @ quad @ root
     d, v = np.linalg.eigh(0.5 * (m + m.T))
-    b = v.T @ (root.T @ beta)
+    b = (beta @ root) @ v
     fac = 1.0 - 2.0j * d
-    return complex(np.prod(fac ** -0.5) * np.exp(1j * const - 0.5 * np.sum(b * b / fac)))
+    return np.prod(fac ** -0.5) * np.exp(1j * const - 0.5 * np.sum(b * b / fac, axis=-1))
 
 
 def stream_setup(params: McParams, t: float):
@@ -327,41 +346,49 @@ def exact_characteristic_function(params: McParams, t: float) -> complex:
                 np.add.at(quad, (i, j), sign * pref * 0.5 * params.a0**2 * w)
     sigma = np.zeros((2 * n, 2 * n))
     sigma[:n, :n] = sigma[n:, n:] = cov
-    return gaussian_quadratic_expectation(sigma, beta, quad)
+    return complex(gaussian_quadratic_expectation(sigma, beta, quad))
 
 
 def conditional_coherences(params: McParams, t: float, t_index: int = 0) -> np.ndarray:
-    """Every draw's ``E[exp(i dphi) | xi-]``, the plus stream integrated densely.
+    """Every draw's ``E[exp(i dphi) | m_perp]``, with both integrals done densely.
 
-    xi- of draw j is ``sample_field``'s under the key ``(seed, t_index, j)``;
-    given it, the phase difference is linear plus diagonal-quadratic in xi+.
+    xi- of draw j is ``sample_field``'s under the key ``(seed, t_index, j)``.
+    Given xi-, the phase difference is linear plus diagonal-quadratic in xi+,
+    which is integrated out in closed form.  The linear a0 part of the
+    phase in xi- is ``s = v.xi-``; with ``u = cov v / (v^T cov v)``, xi- =
+    m_perp + s u splits into independent parts, and the score given xi- is
+    averaged over ``s ~ N(0, v^T cov v)`` along u at 64 Gauss-Hermite nodes.
     """
     k0, k_t, offsets, w, pref, cov = stream_setup(params, t)
     grid = _mc_grid(params, t)
     nodes = np.arange(k_t + 1)
     quad = np.zeros(cov.shape)
+    v = np.zeros(cov.shape[0])
     for sign, off in zip((-1.0, 1.0), offsets):
         np.add.at(quad, (k0 + nodes - off, k0 + nodes - off),
                   sign * pref * 0.5 * params.a0**2 * w)
-    out = np.empty(params.n_samples, dtype=complex)
-    for j in range(params.n_samples):
-        xi_m = sample_field(params.model, grid, (params.seed, t_index, j)).xi_minus
-        beta = np.zeros(cov.shape[0])
-        const = 0.0
-        for sign, off in zip((-1.0, 1.0), offsets):
-            m = xi_m[k0 + nodes + off]
-            np.add.at(beta, k0 + nodes - off,
-                      sign * pref * w * (params.a0 + params.a0**2 * m))
-            const += sign * pref * np.sum(
-                w * (params.a0 * m + 0.5 * params.a0**2 * m * m))
-        out[j] = gaussian_quadratic_expectation(cov, beta, quad, const)
-    return out
+        np.add.at(v, k0 + nodes + off, sign * pref * params.a0 * w)
+    sigma2 = v @ cov @ v
+    u = cov @ v / sigma2 if sigma2 > 0.0 else np.zeros_like(v)
+    x, gh = np.polynomial.hermite_e.hermegauss(64)
+    gh /= math.sqrt(2.0 * math.pi)
+    xi_m = np.array([sample_field(params.model, grid, (params.seed, t_index, j)).xi_minus
+                     for j in range(params.n_samples)])
+    perp = xi_m - np.outer(xi_m @ v, u)
+    ms = perp[:, None, :] + math.sqrt(sigma2) * x[:, None] * u      # (draws, nodes, n)
+    beta = np.zeros(ms.shape)
+    const = np.zeros(ms.shape[:2])
+    for sign, off in zip((-1.0, 1.0), offsets):
+        m = ms[..., k0 + nodes + off]
+        beta[..., k0 + nodes - off] += sign * pref * w * (params.a0 + params.a0**2 * m)
+        const += sign * pref * ((params.a0 * m + 0.5 * params.a0**2 * m * m) @ w)
+    return gaussian_quadratic_expectation(cov, beta, quad, const) @ gh
 
 
 def test_coherence_matches_exact_characteristic_function():
     # end-to-end oracle: no large-T or small-amplitude approximations; the
     # conditional estimator agrees with it along the mean within 4 of its own
-    # stderr (pulls 0.18 and -1.43 at this seed)
+    # stderr (pulls -1.35 and -0.66 at this seed)
     for dx, t in ((1.0, 16.0), (5.0, 64.0)):
         p = default_params(positions=(0.0, dx), t_list=(t,), n_samples=2000,
                            seed=31415)

@@ -133,6 +133,9 @@ REFUSALS = {
     "DensityMatrix.one_point_grid": (
         lambda tmp: DensityMatrix.from_unnormalized([0.0], [[1.0]]),
         "x_grid must be 1-d with at least two points"),
+    "DensityMatrix.non_square_entries": (
+        lambda tmp: DensityMatrix.from_unnormalized([0.0, 1.0, 2.0], np.ones((3, 2))),
+        "entries must be square and match the grid"),
     "superposed_gaussians.one_point_grid": (
         lambda tmp: superposed_gaussians([0.0], sigma=1.0, separation=2.0),
         "x_grid must be 1-d with at least two points"),
