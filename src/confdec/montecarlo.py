@@ -46,6 +46,11 @@ from .field import (CorrelationModel, FieldGrid, FieldRealization,
 
 _BLOCK = 256            # samples per synthesis batch: bounds the streams held in memory
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
+# Per-draw projections onto at most this many rows run through einsum on the
+# calling thread.  As BLAS products they are small enough that handing them
+# to BLAS worker threads costs more than it saves, and the cost of waking an
+# idle worker varies from call to call.
+_EINSUM_MAX_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -261,10 +266,11 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
         z(m) = det(I - 2i D_E C_EE)^(-1/2) exp(i const - K(h, h) / 2),
         K(a, b) = a^T C b - g_a^T ((-2i D_E)^-1 + C_EE)^-1 g_b.
 
-    ``a^T C b`` is a Parseval sum and ``g_E = C_{E,:} h`` a matmul, both from
-    ``field``'s covariance.  The reflection that swaps the two windows maps D
-    to -D and keeps the Toeplitz C, so the real eigenvalues of ``D_E C_EE``
-    pair as +-mu and the determinant ``prod (1 + 4 mu^2)`` is real and positive.
+    ``h^T C h`` is a Parseval sum and ``g_E = C_{E,:} h`` a projection, both
+    from ``field``'s covariance.  The reflection that swaps the two windows
+    maps D to -D and keeps the Toeplitz C, so the real eigenvalues of
+    ``D_E C_EE`` pair as +-mu and the determinant ``prod (1 + 4 mu^2)`` is
+    real and positive.
 
     The linear direction of m.  The linear a0 part of ``const(m)`` is
     ``s = v.m``, with v on the minus-window edges, where the quadratic part
@@ -280,7 +286,10 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     exp(alpha + beta^2 sigma^2 / (2 (1 - 2 gamma sigma^2)))``.  Since
     ``|z(m)| <= 1`` for every h, Re K(h, h) >= 0 and Re(1 - 2 gamma sigma^2)
     >= 1: the principal root is the right one.  alpha and beta come from the
-    slope of log z at m itself, with no second Parseval or Woodbury pass.
+    slope of log z at m itself, with no second Parseval or Woodbury pass:
+    ``K(h, h_u) = h.k_u`` with ``k_u = C h_u - C_{E,:}^T W g_u`` fixed per T
+    (W the Woodbury matrix above), so it comes out of the same projection
+    as ``g_E``, as two more rows next to ``C_{E,:}``.
     Coincident positions give v = 0 and sigma^2 = 0: then u = 0 and the
     score is z(m).
     """
@@ -316,15 +325,16 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     for sign, _k_t, plus, minus in signed:
         h_u[plus:plus + k_t + 1] += sign * w * a0**2 * u[minus:minus + k_t + 1]
     h_u *= scale
-    spec_u, g_u = np.fft.rfft(h_u, n=L), c_edge @ h_u
-    parseval_u = (parseval * spec_u).conj()
-    woodbury_u = woodbury @ g_u
+    # K(h, h_u) = h.k_u: k_u = C h_u - C_{E,:}^T W g_u, with C h_u by the FFT
+    eig = parseval * (0.5 * L)      # the circulant eigenvalues of rfft(h, n=L)
+    eig[[0, -1]] *= 2.0
+    c_h_u = np.fft.irfft(eig * np.fft.rfft(h_u, n=L), n=L)[:n]
+    w_g_u = woodbury @ (c_edge @ h_u)
+    k_u = c_h_u - w_g_u.real @ c_edge - 1j * (w_g_u.imag @ c_edge)
+    project = np.vstack([c_edge, k_u.real, k_u.imag])     # rows: C_{E,:}, Re k_u, Im k_u
+    parseval_ri = np.repeat(parseval, 2)    # on the interleaved (re, im) of rfft(h)
 
-    def k_with_u(spec, g):
-        """``K(h, h_u)`` from ``rfft(h)`` and ``g = C_{E,:} h``."""
-        return (spec @ parseval_u).real - g @ woodbury_u
-
-    gamma = 1j * (qu @ u[edge_m]) - 0.5 * k_with_u(spec_u, g_u)
+    gamma = 1j * (qu @ u[edge_m]) - 0.5 * (h_u @ k_u)
     spread = 1.0 - 2.0 * gamma * sigma2
     factor = det_factor * spread**-0.5
 
@@ -336,14 +346,18 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
             h[:, plus:plus + k_t + 1] += sign * w * (a0 + a0**2 * seg)
             const = const + sign * _potential_sum(seg, a0)
         h *= scale
-        spec = np.fft.rfft(h, n=L, axis=-1)
-        g = h @ c_edge.T
-        log_z = 1j * scale * const - 0.5 * ((spec.real**2 + spec.imag**2) @ parseval
+        ri = np.fft.rfft(h, n=L, axis=-1).view(np.float64)
+        if project.shape[0] <= _EINSUM_MAX_ROWS:
+            proj = np.einsum("ij,kj->ik", h, project)
+        else:
+            proj = h @ project.T
+        g, k_h_u = proj[:, :-2], proj[:, -2] + 1j * proj[:, -1]
+        log_z = 1j * scale * const - 0.5 * (np.einsum("ij,ij,j->i", ri, ri, parseval_ri)
                                              - ((g @ woodbury) * g).sum(axis=-1))
         m_edge = m[:, edge_m]
         s = m_edge @ v
         # the slope of log z along u at m, moved back to m_perp = m - s u
-        beta = 1j + 2j * (m_edge @ qu) - k_with_u(spec, g) - 2.0 * gamma * s
+        beta = 1j + 2j * (m_edge @ qu) - k_h_u - 2.0 * gamma * s
         alpha = log_z - (beta + gamma * s) * s
         return factor * np.exp(alpha + 0.5 * sigma2 * beta * beta / spread)
 
