@@ -168,16 +168,17 @@ class FieldRealization:
 
 
 def _seed_entropy(seed) -> tuple:
-    """Normalize a seed to a tuple of non-negative ints for SeedSequence."""
-    if isinstance(seed, (int, np.integer)):
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-        return (int(seed),)
-    if isinstance(seed, (tuple, list)):
-        if not seed or any((not isinstance(s, (int, np.integer))) or s < 0 for s in seed):
-            raise ValueError("seed tuple must contain non-negative integers")
-        return tuple(int(s) for s in seed)
-    raise ValueError(f"seed must be an int or tuple of ints, got {type(seed)}")
+    """The one seed rule: a seed as the tuple of non-negative ints it keys.
+
+    A seed is a non-negative int or a non-empty tuple or list of them; a
+    ``bool`` is refused, although Python counts it as an int.
+    """
+    parts = seed if isinstance(seed, (tuple, list)) else (seed,)
+    if not parts or any(isinstance(s, bool) or not isinstance(s, (int, np.integer))
+                        or s < 0 for s in parts):
+        raise ValueError("seed must be a non-negative int or a non-empty tuple of them, "
+                         f"got {seed!r}")
+    return tuple(int(s) for s in parts)
 
 
 def _grid_step(model: CorrelationModel, dt: float | None = None) -> float:
@@ -242,15 +243,16 @@ def _irfft_normals(z: np.ndarray, amp: np.ndarray) -> np.ndarray:
 
     With ``L = z.shape[-1]``, the first ``L//2 + 1`` normals are the real
     parts of the half-spectrum and the remaining ``L//2 - 1`` the imaginary
-    parts of its interior bins; the spectrum is weighted by ``amp`` and
-    inverted with ``irfft``.  Leading axes are batch axes.
+    parts of its interior bins.  Each is weighted by ``amp`` straight into
+    the complex spectrum buffer, which is inverted with ``irfft``.  Leading
+    axes are batch axes.
     """
     L = z.shape[-1]
     half = L // 2 + 1
-    spec = np.zeros(z.shape[:-1] + (half,), dtype=complex)
-    spec.real = z[..., :half]
-    spec[..., 1:-1] += 1j * z[..., half:]
-    spec *= amp
+    spec = np.empty(z.shape[:-1] + (half,), dtype=complex)
+    np.multiply(z[..., :half], amp, out=spec.real)
+    np.multiply(z[..., half:], amp[1:-1], out=spec.imag[..., 1:-1])
+    spec.imag[..., [0, -1]] = 0.0
     return np.fft.irfft(spec, n=L, axis=-1)
 
 
@@ -260,20 +262,140 @@ def synthesize_stream(rng: np.random.Generator, L: int, amp: np.ndarray,
     return _irfft_normals(rng.standard_normal(L), amp)[:n_steps].copy()
 
 
+# numpy's SeedSequence hash (NEP 19), as in numpy/random/bit_generator.pyx:
+# the pool of four uint32 words, its two hash-constant sequences and its mix.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier, PCG_DEFAULT_MULTIPLIER_128 in
+# numpy/random/src/pcg64/pcg64.h.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(const: int, mult: int, count: int):
+    """The first ``count`` ``(xor, multiplier)`` pairs of a SeedSequence hash.
+
+    Each is a ``(count, 1)`` uint32 column, one row per hash, in the order
+    the hashes run.
+    """
+    seq = [const]
+    for _ in range(count):
+        seq.append(seq[-1] * mult & _MASK32)
+    seq = np.array(seq, dtype=np.uint32)[:, None]
+    return seq[:-1], seq[1:]
+
+
+def _seed_sequence_state(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` for each row of ``words``.
+
+    ``words`` is ``(b, n)`` uint32, each row a key's coerced entropy.  The
+    hash constants depend on ``n`` only, so every row is hashed at once,
+    and each step that hashes one value into several pool words (whose
+    constants follow one another) runs over those words at once.
+    """
+    b, n = words.shape
+    xor, mult = _hash_constants(_INIT_A, _MULT_A,
+                                _POOL_SIZE ** 2 + _POOL_SIZE * max(n - _POOL_SIZE, 0))
+    used = 0
+
+    def hashmix(value, k):
+        nonlocal used
+        value = (value ^ xor[used:used + k]) * mult[used:used + k]
+        used += k
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        res = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return res ^ (res >> 16)
+
+    pool = np.zeros((_POOL_SIZE, b), dtype=np.uint32)
+    pool[:n] = words[:, :_POOL_SIZE].T
+    pool = hashmix(pool, _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
+    for src in range(_POOL_SIZE, n):
+        pool = mix(pool, hashmix(words[:, src], _POOL_SIZE))
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = (pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE] ^ xor) * mult
+    state ^= state >> 16
+    # word pairs (low, high) make each uint64, as numpy combines them
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+
+
+def _key_words(keys):
+    """Each key's uint32 words as ``SeedSequence`` coerces it, grouped by count.
+
+    A component becomes its little-endian 32-bit words, 0 one word, so one
+    of 2**32 or more adds a word.  Keys share a length.  Yields ``(rows,
+    words)``: the indices of the keys with one word count and their
+    ``(len(rows), n_words)`` uint32 words.
+    """
+    try:
+        value = np.array(keys, dtype=np.uint64)
+    except OverflowError:                         # a component of 2**64 or more
+        value = np.array(keys, dtype=object)
+    levels = []                                   # (word m, has word m) per component
+    count = np.zeros(value.shape, dtype=np.intp)
+    has = np.ones(value.shape, dtype=bool)        # 0 still takes one word
+    while has.any():
+        levels.append(((value & _MASK32).astype(np.uint32), has))
+        count += has
+        value = value >> 32
+        has = value != 0
+    start = np.cumsum(count, axis=1) - count      # each component's first word
+    n_words = count.sum(axis=1)
+    table = np.zeros((len(keys), n_words.max()), dtype=np.uint32)
+    for m, (word, has) in enumerate(levels):
+        row, comp = np.nonzero(has)
+        table[row, start[row, comp] + m] = word[row, comp]
+    for n in np.unique(n_words):
+        rows = np.flatnonzero(n_words == n)
+        yield rows, table[rows, :n]
+
+
+def _pcg64_states(keys) -> list:
+    """``(state, inc)`` of ``PCG64(SeedSequence(key))`` for each key, in key order.
+
+    PCG64 seeds from the four uint64 words ``(s_hi, s_lo, q_hi, q_lo)`` of
+    ``generate_state(4, np.uint64)`` with ``pcg_setseq_128_srandom_r``
+    (numpy/random/src/pcg64/pcg64.h): inc = (q << 1) | 1 and state =
+    ((inc + s) * MULT + inc) mod 2**128.
+    """
+    states = [None] * len(keys)
+    for rows, words in _key_words(keys):
+        for row, (s_hi, s_lo, q_hi, q_lo) in zip(rows.tolist(),
+                                                 _seed_sequence_state(words).tolist()):
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            states[row] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+    return states
+
+
 def _draw_streams(entropies, L: int, amp: np.ndarray, n_steps: int,
                   streams=(0, 1)) -> np.ndarray:
     """The given streams of every keyed draw, retained part only: ``(s, b, n_steps)``.
 
-    Stream ``s`` of draw ``j`` comes from its own ``PCG64`` seeded with
-    ``entropies[j] + (s,)``, so each stream is reproducible on its own,
-    whatever the batch or the other streams it is drawn with.  The result
-    is a view of the full-length ``(s, b, L)`` synthesis.
+    Stream ``s`` of draw ``j`` is drawn by a ``PCG64`` in the state that
+    ``PCG64(SeedSequence(entropies[j] + (s,)))`` starts in, so each stream
+    is reproducible on its own, whatever the batch or the other streams it
+    is drawn with.  The states of a batch are computed in bulk and set, in
+    turn, on one reused generator; ``standard_normal`` keeps no state of
+    its own, so that equals a fresh generator per stream.  The result is a
+    view of the full-length ``(s, b, L)`` synthesis.
     """
     z = np.empty((len(streams), len(entropies), L))
-    for j, entropy in enumerate(entropies):
-        for row, stream in enumerate(streams):
-            ss = np.random.SeedSequence(entropy + (stream,))
-            np.random.Generator(np.random.PCG64(ss)).standard_normal(out=z[row, j])
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {}
+    seeded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    keys = [e + (stream,) for stream in streams for e in entropies]
+    # each key's (state, inc) is unpacked straight into the reused state dict
+    for out, (pcg["state"], pcg["inc"]) in zip(z.reshape(len(keys), L), _pcg64_states(keys)):
+        bit_generator.state = seeded
+        generator.standard_normal(out=out)
     return _irfft_normals(z, amp)[..., :n_steps]
 
 
@@ -281,8 +403,9 @@ def sample_field(model: CorrelationModel, grid: FieldGrid, seed) -> FieldRealiza
     """Sample both streams on ``grid`` from disjoint RNG streams.
 
     Deterministic: identical ``(model, grid, seed)`` give bit-identical
-    realizations.  The two streams come from separate children of the seed
-    so they are independent and individually reproducible.
+    realizations.  The two streams are keyed ``seed + (0,)`` and ``seed +
+    (1,)`` (see ``_draw_streams``), so they are independent and individually
+    reproducible.
     """
     _grid_step(model, grid.dt)
     L, amp = embedding_spectrum(model, grid)

@@ -42,7 +42,8 @@ from .core import NATURAL, PhysicalConstants
 from .errors import (FitDegenerate, InsufficientSamples, OutOfRange,
                      UndersampledSignal)
 from .field import (CorrelationModel, FieldGrid, FieldRealization,
-                    _draw_streams, _embedding, _grid_step, embedding_spectrum)
+                    _draw_streams, _embedding, _grid_step, _seed_entropy,
+                    embedding_spectrum)
 
 _BLOCK = 256            # samples per synthesis batch: bounds the streams held in memory
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
@@ -108,8 +109,9 @@ class McParams:
                 raise ValueError(
                     f"T = {t} must exceed 10 |x - x'| / c = {10.0 * dx_time}")
             _whole_steps(t, dt, "T")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if isinstance(self.seed, (tuple, list)):
+            raise ValueError("seed must be a single non-negative int, not a tuple")
+        _seed_entropy(self.seed)
 
     @property
     def dt_effective(self) -> float:

@@ -87,9 +87,10 @@ def test_02_first_order_cancellation():
 def test_03_decoherence_rate(rate_at_5tau):
     target = GP.lambda_grw  # saturated kernel at dx = 5 tau
     dev = abs(rate_at_5tau.rate - target) / target
+    pull = (rate_at_5tau.rate - target) / rate_at_5tau.stderr
     check(3, "decoherence-rate", dev <= 0.10,
-          f"fit {rate_at_5tau.rate:.4e} vs {target:.4e}, dev {dev:.2%}, "
-          "tol 10%")
+          f"fit {rate_at_5tau.rate:.4e} vs {target:.4e}, dev {dev:.2%} "
+          f"({pull:+.2f} stderr), tol 10%")
 
 
 def test_04_kernel_shape(rate_at_5tau):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confdec.errors import IndefiniteCovariance, ResolutionError
-from confdec.field import (CorrelationModel, FieldGrid, _embedding, embedding_spectrum,
-                           estimate_g1, estimate_g2, odd_moment_check,
-                           sample_field)
+from confdec.field import (CorrelationModel, FieldGrid, _draw_streams, _embedding,
+                           embedding_spectrum, estimate_g1, estimate_g2,
+                           odd_moment_check, sample_field)
 
 TAU = 1.0
 DT = TAU / 8.0
@@ -17,6 +17,31 @@ def make_realization(n_steps=32768, seed=42):
     model = CorrelationModel.gaussian(TAU)
     grid = FieldGrid(dt=DT, n_steps=n_steps)
     return sample_field(model, grid, seed)
+
+
+def numpy_route_streams(key, streams, L, amp, n_steps):
+    """The streams of ``key`` from a fresh numpy generator each, as first assembled.
+
+    Stream ``s`` draws from ``Generator(PCG64(SeedSequence(key + (s,))))``;
+    the spectrum is filled real part first, then ``+= 1j * ...``, then
+    weighted in place, as the library did before it seeded in bulk.
+    """
+    half = L // 2 + 1
+    out = []
+    for s in streams:
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key + (s,))))
+        z = gen.standard_normal(L)
+        spec = np.zeros(half, dtype=complex)
+        spec.real = z[:half]
+        spec[1:-1] += 1j * z[half:]
+        spec *= amp
+        out.append(np.fft.irfft(spec, n=L)[:n_steps])
+    return np.array(out)
+
+
+# keys whose components take one and two uint32 words, mixed in one batch
+MIXED_KEYS = [(11, 3, j) for j in (0, 255, 256, 2**32 - 1)] + [
+    (2**32, 3, 7), (2**40 + 5, 0, 2**32), (0, 2**64 + 1, 1)]
 
 
 class TestCorrelationModel:
@@ -153,6 +178,26 @@ class TestSampling:
         r = make_realization(n_steps=64, seed=0)
         with pytest.raises(ValueError):
             r.xi_plus[0] = 3.0
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
+    def test_sample_field_is_numpy_route(self, seed):
+        model = CorrelationModel.gaussian(TAU)
+        grid = FieldGrid(dt=DT, n_steps=100)
+        L, amp = embedding_spectrum(model, grid)
+        r = sample_field(model, grid, seed)
+        ref = numpy_route_streams((seed,), (0, 1), L, amp, grid.n_steps)
+        np.testing.assert_array_equal(r.xi_plus, ref[0])
+        np.testing.assert_array_equal(r.xi_minus, ref[1])
+
+    @pytest.mark.parametrize("streams", [(0,), (1,), (0, 1)])
+    def test_bulk_seeded_draws_are_numpy_route(self, streams):
+        grid = FieldGrid(dt=DT, n_steps=100)
+        L, amp = embedding_spectrum(CorrelationModel.gaussian(TAU), grid)
+        xi = _draw_streams(MIXED_KEYS, L, amp, grid.n_steps, streams)
+        assert xi.shape == (len(streams), len(MIXED_KEYS), grid.n_steps)
+        for j, key in enumerate(MIXED_KEYS):
+            np.testing.assert_array_equal(
+                xi[:, j], numpy_route_streams(key, streams, L, amp, grid.n_steps))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))

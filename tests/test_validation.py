@@ -8,7 +8,7 @@ from confdec import cli, errors, io
 from confdec.bounds import (CosmoSourceParams, ExperimentParams, build_cutoff_model,
                             conformal_amplitude, mode_density,
                             zero_point_energy_density)
-from confdec.field import CorrelationModel, FieldGrid, FieldRealization
+from confdec.field import CorrelationModel, FieldGrid, FieldRealization, sample_field
 from confdec.master import (DensityMatrix, GrwParams, closed_form_kernel,
                             decoherence_factor, evolve_with_free_hamiltonian,
                             general_kernel, grw_params, superposed_gaussians)
@@ -114,6 +114,15 @@ REFUSALS = {
     "McParams.positions_not_a_pair": (
         lambda tmp: mc_params(positions=(0.0,)), "positions must be a pair"),
     "McParams.empty_t_list": (lambda tmp: mc_params(t_list=()), "t_list must not be empty"),
+    "McParams.bool_seed": (lambda tmp: mc_params(seed=True), "seed must be a non-negative int"),
+    "McParams.tuple_seed": (lambda tmp: mc_params(seed=(7,)), "seed must be a single"),
+    "sample_field.bool_seed": (
+        lambda tmp: sample_field(CorrelationModel(), FieldGrid(dt=0.125, n_steps=16), True),
+        "seed must be a non-negative int"),
+    "sample_field.bool_in_seed_tuple": (
+        lambda tmp: sample_field(CorrelationModel(), FieldGrid(dt=0.125, n_steps=16),
+                                 (True, 0)),
+        "seed must be a non-negative int"),
     "accumulate_phase.zero_t_final": (
         lambda tmp: accumulate_phase(_zero_realization(), 0.0, 0.0, mc_params()),
         "t_final must be at least one step"),
