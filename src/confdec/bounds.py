@@ -11,15 +11,13 @@ conformal waves, through the relation between amplitude, correlation time
 and density that the zero-point model implies (``conformal_amplitude``).
 
 The calculator works in SI: masses in amu, times in seconds, separations in
-meters and densities in g/cm^3.  Only ``lambda_bound`` and the zero-point
-density functions take a ``constants`` argument.
+meters and densities in g/cm^3.  Only ``lambda_bound``, ``mode_density`` and
+the zero-point density functions take a ``constants`` argument.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .core import SI, PhysicalConstants
 from .errors import QuadratureFailure, SubPlanckCutoff
@@ -96,6 +94,8 @@ def integrated_zero_point_density(omega_max: float,
     Numerical verification path for the closed form; agrees with
     ``zero_point_energy_density`` to better than 1e-10 relative.
     """
+    from scipy.integrate import quad  # imported here so `import confdec` loads no scipy
+
     val, err = quad(lambda w: 0.5 * constants.hbar * w * mode_density(w, constants),
                     0.0, omega_max, epsabs=0.0, epsrel=1e-12, limit=200)
     if abs(err) > 1e-9 * max(abs(val), 1e-300):

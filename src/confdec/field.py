@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import IndefiniteCovariance, ResolutionError
 
@@ -189,6 +188,23 @@ def _grid_step(model: CorrelationModel, dt: float | None = None) -> float:
     return finest if dt is None else dt
 
 
+def _smooth_length(target: int) -> int:
+    """Smallest integer >= ``target`` with no prime factor above 11.
+
+    These are the lengths numpy's pocketfft transforms fastest; the same
+    rule as ``scipy.fft.next_fast_len(target)``.
+    """
+    n = max(target, 1)
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 @functools.lru_cache(maxsize=64)
 def _embedding(model: CorrelationModel, dt: float, n_steps: int):
     """Circulant length, amplitudes, covariance row and Parseval weights.
@@ -203,9 +219,9 @@ def _embedding(model: CorrelationModel, dt: float, n_steps: int):
     weights with ``h^T C h = sum_j parseval_j |rfft(h, n=L)_j|^2`` for real h.
     """
     pad = int(math.ceil(_PAD_CORR_TIMES * model.tau / dt))
-    L = next_fast_len(n_steps + pad)
+    L = _smooth_length(n_steps + pad)
     while L % 2:
-        L = next_fast_len(L + 1)
+        L = _smooth_length(L + 1)
     k = np.arange(L)
     circ_lag = np.minimum(k, L - k) * dt
     eig = np.fft.fft(model.g1(circ_lag)).real

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import NATURAL, PhysicalConstants
 from .errors import QuadratureFailure, StepTooLarge
@@ -250,6 +249,7 @@ def general_kernel(g1_model: CorrelationModel, delta_x: float, t_total: float,
     d = abs(delta_x) / c
     if t_total < 10.0 * max(tau, d):
         raise ValueError("validity needs T >= 10 max(tau, delta_x / c)")
+    from scipy.integrate import quad  # imported here so `import confdec` loads no scipy
 
     def weighted(f, support, kinks=()):
         hi = min(t_total, support)
@@ -279,7 +279,7 @@ def general_kernel(g1_model: CorrelationModel, delta_x: float, t_total: float,
 def closed_form_kernel(delta_x: float, t_total: float, mass: float, a0: float,
                        tau: float, constants: PhysicalConstants = NATURAL) -> float:
     """Large-T Gaussian-correlation limit of ``general_kernel``: ``-rate(dx) T``."""
-    if not math.isfinite(t_total):
-        raise ValueError("t_total must be finite")
+    if not 0 <= t_total < math.inf:
+        raise ValueError("t_total must be non-negative and finite")
     # subtracting from 0.0 keeps the zero-separation kernel +0.0, not -0.0
     return 0.0 - grw_params(mass, a0, tau, constants).rate(delta_x) * t_total

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from confdec.errors import IndefiniteCovariance, ResolutionError
 from confdec.field import (CorrelationModel, FieldGrid, _draw_streams, _embedding,
-                           embedding_spectrum, estimate_g1, estimate_g2,
+                           _smooth_length, embedding_spectrum, estimate_g1, estimate_g2,
                            odd_moment_check, sample_field)
 
 TAU = 1.0
@@ -137,6 +137,14 @@ class TestGrid:
             FieldGrid(dt=0.0, n_steps=8)
         with pytest.raises(ValueError):
             FieldGrid(dt=0.1, n_steps=1)
+
+    def test_embedding_length_is_scipy_next_fast_len(self):
+        # every target up to 20000, which covers the MC grids, and the 2048
+        # above each of the two longest sampled grids, 2**15 and 2**18 steps
+        from scipy.fft import next_fast_len
+        targets = [*range(1, 20001), *range(2**15, 2**15 + 2048),
+                   *range(2**18, 2**18 + 2048)]
+        assert [_smooth_length(t) for t in targets] == [next_fast_len(t) for t in targets]
 
 
 class TestSampling:

@@ -153,6 +153,9 @@ REFUSALS = {
             tmp / "rho.json", '{"grid": {"n": 2, "dx": 1.0, "x0": 0.0}, '
                               '"entries": [[1.0, 0.0]]}')),
         "entries must hold n\\*n"),
+    "closed_form_kernel.negative_t_total": (
+        lambda tmp: closed_form_kernel(1.0, -5.0, 1.0, 0.1, 1.0),
+        "t_total must be non-negative"),
     "evolve_with_free_hamiltonian.negative_n_steps": (
         lambda tmp: evolve_with_free_hamiltonian(rho(), GrwParams(1e-4, 8.0), 1.0, 0.05, -1),
         "n_steps must be non-negative"),
