@@ -129,9 +129,18 @@ class CorrelationModel:
         return [float(l) for l in self._lags]
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy int; a ``bool`` is not one, although Python counts it."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FieldGrid:
-    """Uniform time grid ``t_start + k*dt`` for ``k = 0 .. n_steps-1``."""
+    """Uniform time grid ``t_start + k*dt`` for ``k = 0 .. n_steps-1``.
+
+    ``n_steps`` must be an int (a numpy int will do, a ``bool`` will not) and
+    ``t_start`` finite; otherwise ``ValueError``.
+    """
 
     dt: float
     n_steps: int
@@ -140,8 +149,12 @@ class FieldGrid:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
+        if not _is_int(self.n_steps):
+            raise ValueError(f"n_steps must be an int, got {self.n_steps!r}")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
+        if not math.isfinite(self.t_start):
+            raise ValueError(f"t_start must be finite, got {self.t_start!r}")
 
     @property
     def duration(self) -> float:
@@ -173,8 +186,7 @@ def _seed_entropy(seed) -> tuple:
     ``bool`` is refused, although Python counts it as an int.
     """
     parts = seed if isinstance(seed, (tuple, list)) else (seed,)
-    if not parts or any(isinstance(s, bool) or not isinstance(s, (int, np.integer))
-                        or s < 0 for s in parts):
+    if not parts or any(not _is_int(s) or s < 0 for s in parts):
         raise ValueError("seed must be a non-negative int or a non-empty tuple of them, "
                          f"got {seed!r}")
     return tuple(int(s) for s in parts)
@@ -455,7 +467,7 @@ def _block_stderr(block_len: int, *series: np.ndarray) -> float:
 
 def _correlation_scan(realization, max_lag, transform):
     grid = realization.grid
-    if max_lag < 0:
+    if not max_lag >= 0:
         raise ValueError(f"max_lag must be non-negative, got {max_lag}")
     if max_lag > grid.duration / 4.0:
         raise ValueError("max_lag must not exceed a quarter of the duration")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import CorrelationEstimate, FieldRealization
+from .field import CorrelationEstimate, FieldRealization, _is_int
 from .master import DensityMatrix
 from .montecarlo import CoherenceEstimate
 
@@ -103,14 +103,18 @@ def density_matrix_from_json(path) -> DensityMatrix:
     obj = read_json(path)
     try:
         grid, flat = obj["grid"], obj["entries"]
-        n, x0, dx = int(grid["n"]), grid["x0"], grid["dx"]
+        n, x0, dx = grid["n"], grid["x0"], grid["dx"]
     except (KeyError, TypeError) as exc:
         raise ValueError("density-matrix JSON needs a grid {n, dx, x0} "
                          "and entries") from exc
-    x = x0 + dx * np.arange(n)
+    # checked before anything of size n is allocated
+    if not _is_int(n) or n < 2:
+        raise ValueError(f"grid n must be an integer of at least 2, got {n!r}")
     flat = np.asarray(flat, dtype=float)
     if flat.shape != (n * n, 2):
-        raise ValueError("entries must hold n*n [re, im] pairs in row-major order")
+        raise ValueError(f"entries must hold n*n [re, im] pairs in row-major order, "
+                         f"with n = {n}")
+    x = x0 + dx * np.arange(n)
     entries = (flat[:, 0] + 1j * flat[:, 1]).reshape(n, n)
     return DensityMatrix(x_grid=x, entries=entries)
 

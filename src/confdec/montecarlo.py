@@ -17,11 +17,12 @@ Monte Carlo, or Rao-Blackwellization), with two Gaussian integrals done in
 closed form.  Given xi-, the phase difference is linear plus quadratic in
 the Gaussian plus stream, with the quadratic part confined to the window
 edges where the two light cones do not overlap, so the integral over xi+
-has a closed form.  The linear a0 part of the phase in xi- is one scalar
-``s = v.xi-`` on the minus-window edges, and the integral over s, with the
-rest of xi- held fixed, has a closed form too.  That halves the synthesis
-per draw and cuts the per-draw variance about 100x at dx = 5 and 9-20x at
-dx <= 1 against scoring by ``E[exp(i dphi) | xi-]`` alone.
+has a closed form.  The part of the phase in xi- alone is read on the
+minus-window edges, since the interiors of the two minus windows cancel;
+its linear a0 part is one scalar ``s = v.xi-`` there, and the integral over
+s, with the rest of xi- held fixed, has a closed form too.  That halves
+the synthesis per draw and cuts the per-draw variance about 100x at dx = 5
+and 9-20x at dx <= 1 against scoring by ``E[exp(i dphi) | xi-]`` alone.
 
 Draws are keyed by ``(master seed, T index, sample index)`` and synthesized
 by ``field``, so the phases are reproducible and bit-identical whatever the
@@ -42,7 +43,7 @@ from .core import NATURAL, PhysicalConstants
 from .errors import (FitDegenerate, InsufficientSamples, OutOfRange,
                      UndersampledSignal)
 from .field import (CorrelationModel, FieldGrid, FieldRealization,
-                    _draw_streams, _embedding, _grid_step, _seed_entropy,
+                    _draw_streams, _embedding, _grid_step, _is_int, _seed_entropy,
                     embedding_spectrum)
 
 _BLOCK = 256            # samples per synthesis batch: bounds the streams held in memory
@@ -109,6 +110,8 @@ class McParams:
                 raise ValueError(
                     f"T = {t} must exceed 10 |x - x'| / c = {10.0 * dx_time}")
             _whole_steps(t, dt, "T")
+        if not _is_int(self.n_samples):
+            raise ValueError(f"n_samples must be an int, got {self.n_samples!r}")
         if isinstance(self.seed, (tuple, list)):
             raise ValueError("seed must be a single non-negative int, not a tuple")
         _seed_entropy(self.seed)
@@ -274,9 +277,9 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     ``D_E C_EE`` pair as +-mu and the determinant ``prod (1 + 4 mu^2)`` is
     real and positive.
 
-    The linear direction of m.  The linear a0 part of ``const(m)`` is
-    ``s = v.m``, with v on the minus-window edges, where the quadratic part
-    ``m^T Q m`` of ``const(m)`` also lives.  With ``sigma^2 = v^T C v`` and
+    The linear direction of m.  The interiors of the two minus windows
+    cancel, so ``const(m) = s + m_E^T Q m_E`` is read on their edges E_m,
+    with ``s = v.m_E`` and Q diagonal.  With ``sigma^2 = v^T C v`` and
     ``u = C v / sigma^2``, ``m = m_perp + s u`` splits m into independent
     parts, ``s ~ N(0, sigma^2)``, and along u
 
@@ -304,9 +307,14 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     w = np.ones(k_t + 1)
     w[0] = w[-1] = 0.5
 
-    plus_w, minus_w = np.zeros(n), np.zeros(n)
-    for sign, _k_t, plus, minus in signed:
-        plus_w[plus:plus + k_t + 1] += sign * w
+    def carry(m):       # the weighted, signed minus windows of m, moved onto the plus ones
+        out = np.zeros_like(m)
+        for sign, _k_t, plus, minus in signed:
+            out[..., plus:plus + k_t + 1] += sign * w * m[..., minus:minus + k_t + 1]
+        return out
+
+    plus_w, minus_w = carry(np.ones(n)), np.zeros(n)
+    for sign, _k_t, _plus, minus in signed:
         minus_w[minus:minus + k_t + 1] += sign * w
     edge = np.flatnonzero(plus_w)
     d_edge = 0.5 * scale * a0**2 * plus_w[edge]
@@ -319,14 +327,12 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
 
     edge_m = np.flatnonzero(minus_w)
     v = scale * a0 * minus_w[edge_m]
+    q = 0.5 * a0 * v        # the diagonal of Q
     cv = v @ row[np.abs(edge_m[:, None] - np.arange(n))]   # C v
     sigma2 = float(v @ cv[edge_m])
     u = cv / sigma2 if sigma2 > 0.0 else cv
-    qu = 0.5 * a0 * v * u[edge_m]       # Q u: Q = a0 v / 2 on the minus edges
-    h_u = np.zeros(n)
-    for sign, _k_t, plus, minus in signed:
-        h_u[plus:plus + k_t + 1] += sign * w * a0**2 * u[minus:minus + k_t + 1]
-    h_u *= scale
+    qu = q * u[edge_m]
+    h_0, h_u = scale * a0 * plus_w, scale * a0**2 * carry(u)     # h(0), h(u) - h(0)
     # K(h, h_u) = h.k_u: k_u = C h_u - C_{E,:}^T W g_u, with C h_u by the FFT
     eig = parseval * (0.5 * L)      # the circulant eigenvalues of rfft(h, n=L)
     eig[[0, -1]] *= 2.0
@@ -341,39 +347,25 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     factor = det_factor * spread**-0.5
 
     def score(m):
-        h = np.zeros_like(m)
-        const = 0.0
-        for sign, _k_t, plus, minus in signed:
-            seg = m[:, minus:minus + k_t + 1]
-            h[:, plus:plus + k_t + 1] += sign * w * (a0 + a0**2 * seg)
-            const = const + sign * _potential_sum(seg, a0)
-        h *= scale
+        h = carry(m)
+        h *= scale * a0**2
+        h += h_0
         ri = np.fft.rfft(h, n=L, axis=-1).view(np.float64)
         if project.shape[0] <= _EINSUM_MAX_ROWS:
             proj = np.einsum("ij,kj->ik", h, project)
         else:
             proj = h @ project.T
         g, k_h_u = proj[:, :-2], proj[:, -2] + 1j * proj[:, -1]
-        log_z = 1j * scale * const - 0.5 * (np.einsum("ij,ij,j->i", ri, ri, parseval_ri)
-                                             - ((g @ woodbury) * g).sum(axis=-1))
         m_edge = m[:, edge_m]
         s = m_edge @ v
+        log_z = 1j * (s + (m_edge * m_edge) @ q) - 0.5 * (
+            np.einsum("ij,ij,j->i", ri, ri, parseval_ri) - ((g @ woodbury) * g).sum(axis=-1))
         # the slope of log z along u at m, moved back to m_perp = m - s u
         beta = 1j + 2j * (m_edge @ qu) - k_h_u - 2.0 * gamma * s
         alpha = log_z - (beta + gamma * s) * s
         return factor * np.exp(alpha + 0.5 * sigma2 * beta * beta / spread)
 
     return spread, score
-
-
-def _conditional_coherences(params: McParams, t: float, t_index: int) -> np.ndarray:
-    """Every draw's score ``E[exp(i dphi) | m_perp]`` at flight time ``t``."""
-    grid = _mc_grid(params, t)
-    _spread, score = _conditional_scorer(params, grid, t)
-    z = np.empty(params.n_samples, dtype=complex)
-    for block, xi in _keyed_blocks(params, t_index, grid, streams=(1,)):
-        z[block] = score(xi[0])
-    return z
 
 
 def coherence_mc(params: McParams) -> CoherenceEstimate:
@@ -395,7 +387,12 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
             f"n_samples = {params.n_samples} < 100 gives meaningless statistics")
     records = []
     for t_index, t in enumerate(params.t_list):
-        z = _conditional_coherences(params, t, t_index)
+        grid = _mc_grid(params, t)
+        _spread, score = _conditional_scorer(params, grid, t)
+        z = np.empty(params.n_samples, dtype=complex)
+        for block, xi in _keyed_blocks(params, t_index, grid, streams=(1,)):
+            z[block] = score(xi[0])
+        del score, xi   # held into the next T, they would raise the peak memory
         mean = z.mean()
         along = (z * np.exp(-1j * np.angle(mean))).real
         records.append(CoherenceRecord(

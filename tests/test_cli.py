@@ -49,6 +49,22 @@ class TestIoRoundTrips:
         assert rc == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, pairs, message", [
+        (10**12, 1, "with n = 1000000000000"),
+        (-5, 25, "grid n must be an integer of at least 2, got -5"),
+        (2.7, 4, "grid n must be an integer of at least 2, got 2.7"),
+    ], ids=["huge_n", "negative_n", "fractional_n"])
+    def test_json_grid_size_rejected(self, tmp_path, n, pairs, message, capsys):
+        # n is checked against the entries before any n-point grid is built
+        src = tmp_path / "rho.json"
+        io.write_json(src, {"grid": {"n": n, "dx": 1.0, "x0": 0.0},
+                            "entries": [[1.0, 0.0]] * pairs})
+        rc = main(["evolve", "--input", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("edit", [
         # an x_j that is not one of the x_i values
         lambda rows: ["-2,-2.5," + rows[0].split(",", 2)[2], *rows[1:]],

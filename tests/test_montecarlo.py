@@ -206,10 +206,12 @@ class TestSampling:
     def test_coherence_is_mean_of_exact_conditional_coherences(self):
         # exact link: each draw scores E[exp(i dphi) | xi-], the plus stream
         # integrated out densely, and the stderr is the std of those scores
-        # along the mean over sqrt(n); 258 draws cross the first block boundary
-        for positions in ((0.0, 1.0), (0.5, -0.25)):
-            p = default_params(positions=positions, t_list=(16.0,), n_samples=258)
-            z = conditional_coherences(p, 16.0)
+        # along the mean over sqrt(n); 258 draws cross the first block boundary,
+        # and dx = 5 puts the gate's edge set (about 80 nodes) on the BLAS branch
+        for positions, t, n in (((0.0, 1.0), 16.0, 258), ((0.5, -0.25), 16.0, 258),
+                                ((0.0, 5.0), 56.0, 100)):
+            p = default_params(positions=positions, t_list=(t,), n_samples=n)
+            z = conditional_coherences(p, t)
             rec = coherence_mc(p).records[0]
             assert rec.mean == pytest.approx(complex(z.mean()), rel=1e-12)
             assert rec.stderr == pytest.approx(projected_stderr(z), rel=1e-12)

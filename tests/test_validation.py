@@ -8,7 +8,8 @@ from confdec import cli, errors, io
 from confdec.bounds import (CosmoSourceParams, ExperimentParams, build_cutoff_model,
                             conformal_amplitude, mode_density,
                             zero_point_energy_density)
-from confdec.field import CorrelationModel, FieldGrid, FieldRealization, sample_field
+from confdec.field import (CorrelationModel, FieldGrid, FieldRealization, estimate_g1,
+                           estimate_g2, sample_field)
 from confdec.master import (DensityMatrix, GrwParams, closed_form_kernel,
                             decoherence_factor, evolve_with_free_hamiltonian,
                             general_kernel, grw_params, superposed_gaussians)
@@ -34,6 +35,11 @@ def rho():
 # (constructor with one field set to the bad value v, a word the refusal must name)
 BAD_VALUE_CASES = {
     "FieldGrid.dt": (lambda v: FieldGrid(dt=v, n_steps=64), "dt"),
+    # a non-int step count never reaches a whole embedding length: refused, not run
+    "FieldGrid.n_steps": (lambda v: FieldGrid(dt=0.125, n_steps=v), "n_steps"),
+    "FieldGrid.t_start": (lambda v: FieldGrid(dt=0.125, n_steps=64, t_start=v), "t_start"),
+    "estimate_g1.max_lag": (lambda v: estimate_g1(_zero_realization(), v), "max_lag"),
+    "estimate_g2.max_lag": (lambda v: estimate_g2(_zero_realization(), v), "max_lag"),
     "CorrelationModel.tau": (lambda v: CorrelationModel.gaussian(v), "tau"),
     "McParams.a0": (lambda v: mc_params(a0=v), "a0"),
     "McParams.mass": (lambda v: mc_params(mass=v), "mass"),
@@ -41,6 +47,7 @@ BAD_VALUE_CASES = {
     "McParams.tau": (lambda v: mc_params(tau=v, dt=0.125), "tau"),
     "McParams.dt": (lambda v: mc_params(dt=v), "dt must be positive"),
     "McParams.positions": (lambda v: mc_params(positions=(0.0, v)), "position"),
+    "McParams.n_samples": (lambda v: mc_params(n_samples=v), "n_samples"),
     "grw_params.mass": (lambda v: grw_params(v, 0.1, 1.0), "mass"),
     "grw_params.a0": (lambda v: grw_params(1.0, v, 1.0), "a0"),
     "grw_params.tau": (lambda v: grw_params(1.0, 0.1, v), "tau"),
@@ -116,6 +123,14 @@ REFUSALS = {
     "McParams.empty_t_list": (lambda tmp: mc_params(t_list=()), "t_list must not be empty"),
     "McParams.bool_seed": (lambda tmp: mc_params(seed=True), "seed must be a non-negative int"),
     "McParams.tuple_seed": (lambda tmp: mc_params(seed=(7,)), "seed must be a single"),
+    "McParams.fractional_n_samples": (
+        lambda tmp: mc_params(n_samples=100.5), "n_samples must be an int"),
+    "McParams.bool_n_samples": (
+        lambda tmp: mc_params(n_samples=True), "n_samples must be an int"),
+    "FieldGrid.fractional_n_steps": (
+        lambda tmp: FieldGrid(dt=0.125, n_steps=100.5), "n_steps must be an int"),
+    "FieldGrid.bool_n_steps": (
+        lambda tmp: FieldGrid(dt=0.125, n_steps=True), "n_steps must be an int"),
     "sample_field.bool_seed": (
         lambda tmp: sample_field(CorrelationModel(), FieldGrid(dt=0.125, n_steps=16), True),
         "seed must be a non-negative int"),
@@ -169,6 +184,11 @@ REFUSALS = {
 def test_refused(tmp_path, build, message):
     with pytest.raises(ValueError, match=message):
         build(tmp_path)
+
+
+def test_numpy_int_counts_accepted():
+    assert FieldGrid(dt=0.125, n_steps=np.int64(64)).n_steps == 64
+    assert mc_params(n_samples=np.int64(100)).n_samples == 100
 
 
 def _subclasses(cls):
