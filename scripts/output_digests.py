@@ -3,7 +3,9 @@
 
 Runs each CLI subcommand once (``mc`` also on a noise-dominated input that
 exits 3), replays it from its manifest.json, and digests the Monte Carlo
-coherence records of a 300-draw run at dx = 5 and dx = 0.25.  Two
+coherence records of a 300-draw run at dx = 5 and dx = 0.25.  It also
+digests one draw under a two-component key and the phases of 300 draws
+under three-component keys, both streams, so that each key layout shows.  Two
 checkouts that print the same lines produce the same bytes; diff the output
 of the two to check that a change leaves results unchanged.  Runs in a
 temporary directory and takes a few seconds.
@@ -22,8 +24,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from confdec import io as cio
 from confdec.cli import main as cli_main
+from confdec.field import CorrelationModel, FieldGrid, sample_field
 from confdec.master import superposed_gaussians
-from confdec.montecarlo import McParams, coherence_mc
+from confdec.montecarlo import McParams, coherence_mc, sample_phases
 
 # (name, argv); input paths are relative to the working directory so that
 # every manifest, and so every digest, is the same wherever the script runs
@@ -89,11 +92,19 @@ def mc_lines():
         yield f"coherence_mc dx={dx:g} {sha256(records.tobytes())}"
 
 
+def draw_lines():
+    r = sample_field(CorrelationModel.gaussian(1.0), FieldGrid(dt=0.125, n_steps=200), (7, 1))
+    yield f"sample_field seed=(7,1) {sha256(np.stack([r.xi_plus, r.xi_minus]).tobytes())}"
+    params = McParams(a0=0.1, mass=1.0, tau=1.0, positions=(0.0, 1.0),
+                      t_list=(16.0,), n_samples=300, seed=901)
+    yield f"sample_phases dx=1 T=16 {sha256(np.stack(sample_phases(params, 16.0)).tobytes())}"
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         write_inputs()
-        for line in (*cli_lines(), *mc_lines()):
+        for line in (*cli_lines(), *mc_lines(), *draw_lines()):
             print(line)
 
 

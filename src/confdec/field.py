@@ -180,15 +180,17 @@ class FieldRealization:
 
 
 def _seed_entropy(seed) -> tuple:
-    """The one seed rule: a seed as the tuple of non-negative ints it keys.
+    """The one seed rule: a seed as the tuple of ints that keys its draws.
 
-    A seed is a non-negative int or a non-empty tuple or list of them; a
-    ``bool`` is refused, although Python counts it as an int.
+    A seed is an int in [0, 2**64), or a tuple or list of one to three of
+    them: the words of a ``Philox`` key and counter (see ``_draw_streams``).
+    A ``bool`` is refused, although Python counts it as an int.
     """
     parts = seed if isinstance(seed, (tuple, list)) else (seed,)
-    if not parts or any(not _is_int(s) or s < 0 for s in parts):
-        raise ValueError("seed must be a non-negative int or a non-empty tuple of them, "
-                         f"got {seed!r}")
+    if not 1 <= len(parts) <= 3 or any(not _is_int(s) or not 0 <= s < 2**64
+                                       for s in parts):
+        raise ValueError("seed must be a non-negative int below 2**64, or a tuple of "
+                         f"one to three of them, got {seed!r}")
     return tuple(int(s) for s in parts)
 
 
@@ -201,15 +203,16 @@ def _grid_step(model: CorrelationModel, dt: float | None = None) -> float:
 
 
 def _smooth_length(target: int) -> int:
-    """Smallest integer >= ``target`` with no prime factor above 11.
+    """Smallest integer >= ``target`` with no prime factor above 5.
 
-    These are the lengths numpy's pocketfft transforms fastest; the same
-    rule as ``scipy.fft.next_fast_len(target)``.
+    These 5-smooth lengths are the ones numpy's pocketfft transforms fastest
+    as real FFTs; the same rule as ``scipy.fft.next_fast_len(target,
+    real=True)``.
     """
     n = max(target, 1)
     while True:
         m = n
-        for p in (2, 3, 5, 7, 11):
+        for p in (2, 3, 5):
             while m % p == 0:
                 m //= p
         if m == 1:
@@ -290,138 +293,36 @@ def synthesize_stream(rng: np.random.Generator, L: int, amp: np.ndarray,
     return _irfft_normals(rng.standard_normal(L), amp)[:n_steps].copy()
 
 
-# numpy's SeedSequence hash (NEP 19), as in numpy/random/bit_generator.pyx:
-# the pool of four uint32 words, its two hash-constant sequences and its mix.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier, PCG_DEFAULT_MULTIPLIER_128 in
-# numpy/random/src/pcg64/pcg64.h.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_constants(const: int, mult: int, count: int):
-    """The first ``count`` ``(xor, multiplier)`` pairs of a SeedSequence hash.
-
-    Each is a ``(count, 1)`` uint32 column, one row per hash, in the order
-    the hashes run.
-    """
-    seq = [const]
-    for _ in range(count):
-        seq.append(seq[-1] * mult & _MASK32)
-    seq = np.array(seq, dtype=np.uint32)[:, None]
-    return seq[:-1], seq[1:]
-
-
-def _seed_sequence_state(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(key).generate_state(4, np.uint64)`` for each row of ``words``.
-
-    ``words`` is ``(b, n)`` uint32, each row a key's coerced entropy.  The
-    hash constants depend on ``n`` only, so every row is hashed at once,
-    and each step that hashes one value into several pool words (whose
-    constants follow one another) runs over those words at once.
-    """
-    b, n = words.shape
-    xor, mult = _hash_constants(_INIT_A, _MULT_A,
-                                _POOL_SIZE ** 2 + _POOL_SIZE * max(n - _POOL_SIZE, 0))
-    used = 0
-
-    def hashmix(value, k):
-        nonlocal used
-        value = (value ^ xor[used:used + k]) * mult[used:used + k]
-        used += k
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        res = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return res ^ (res >> 16)
-
-    pool = np.zeros((_POOL_SIZE, b), dtype=np.uint32)
-    pool[:n] = words[:, :_POOL_SIZE].T
-    pool = hashmix(pool, _POOL_SIZE)
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
-    for src in range(_POOL_SIZE, n):
-        pool = mix(pool, hashmix(words[:, src], _POOL_SIZE))
-    xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    state = (pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE] ^ xor) * mult
-    state ^= state >> 16
-    # word pairs (low, high) make each uint64, as numpy combines them
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
-
-
-def _key_words(keys):
-    """Each key's uint32 words as ``SeedSequence`` coerces it, grouped by count.
-
-    A component becomes its little-endian 32-bit words, 0 one word, so one
-    of 2**32 or more adds a word.  Keys share a length.  Yields ``(rows,
-    words)``: the indices of the keys with one word count and their
-    ``(len(rows), n_words)`` uint32 words.
-    """
-    try:
-        value = np.array(keys, dtype=np.uint64)
-    except OverflowError:                         # a component of 2**64 or more
-        value = np.array(keys, dtype=object)
-    levels = []                                   # (word m, has word m) per component
-    count = np.zeros(value.shape, dtype=np.intp)
-    has = np.ones(value.shape, dtype=bool)        # 0 still takes one word
-    while has.any():
-        levels.append(((value & _MASK32).astype(np.uint32), has))
-        count += has
-        value = value >> 32
-        has = value != 0
-    start = np.cumsum(count, axis=1) - count      # each component's first word
-    n_words = count.sum(axis=1)
-    table = np.zeros((len(keys), n_words.max()), dtype=np.uint32)
-    for m, (word, has) in enumerate(levels):
-        row, comp = np.nonzero(has)
-        table[row, start[row, comp] + m] = word[row, comp]
-    for n in np.unique(n_words):
-        rows = np.flatnonzero(n_words == n)
-        yield rows, table[rows, :n]
-
-
-def _pcg64_states(keys) -> list:
-    """``(state, inc)`` of ``PCG64(SeedSequence(key))`` for each key, in key order.
-
-    PCG64 seeds from the four uint64 words ``(s_hi, s_lo, q_hi, q_lo)`` of
-    ``generate_state(4, np.uint64)`` with ``pcg_setseq_128_srandom_r``
-    (numpy/random/src/pcg64/pcg64.h): inc = (q << 1) | 1 and state =
-    ((inc + s) * MULT + inc) mod 2**128.
-    """
-    states = [None] * len(keys)
-    for rows, words in _key_words(keys):
-        for row, (s_hi, s_lo, q_hi, q_lo) in zip(rows.tolist(),
-                                                 _seed_sequence_state(words).tolist()):
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            states[row] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
-    return states
-
-
 def _draw_streams(entropies, L: int, amp: np.ndarray, n_steps: int,
                   streams=(0, 1)) -> np.ndarray:
     """The given streams of every keyed draw, retained part only: ``(s, b, n_steps)``.
 
-    Stream ``s`` of draw ``j`` is drawn by a ``PCG64`` in the state that
-    ``PCG64(SeedSequence(entropies[j] + (s,)))`` starts in, so each stream
-    is reproducible on its own, whatever the batch or the other streams it
-    is drawn with.  The states of a batch are computed in bulk and set, in
-    turn, on one reused generator; ``standard_normal`` keeps no state of
-    its own, so that equals a fresh generator per stream.  The result is a
-    view of the full-length ``(s, b, L)`` synthesis.
+    Stream ``s`` of the key ``e = entropies[j]`` (one to three components, a
+    missing one counting as 0) draws its normals from ``Philox(key=(e0, e1),
+    counter=(0, e2, len(e), s))``.  Philox is counter-based (Salmon et al.,
+    SC 2011): distinct keys and counters give independent streams with no
+    hashing, and a draw steps only counter word 0, far fewer than 2**64
+    times, so no two draws overlap.  The ``len(e)`` word keeps ``(5,)``,
+    ``(5, 0)`` and ``(5, 0, 0)`` apart.  Each stream is reproducible on its
+    own, whatever the batch or the other streams it is drawn with.  The
+    key and counter words of the batch are tabled once and set, in turn,
+    on one reused generator; ``standard_normal`` keeps no state of its own,
+    so that equals a fresh generator per stream.  The result is a view of
+    the full-length ``(s, b, L)`` synthesis.
     """
+    words = np.zeros((len(streams), len(entropies), 6), dtype=np.uint64)
+    words[..., [0, 1, 3]] = np.array([e + (0,) * (3 - len(e)) for e in entropies],
+                                     dtype=np.uint64)
+    words[..., 4] = [len(e) for e in entropies]
+    words[..., 5] = np.array(streams, dtype=np.uint64)[:, None]
     z = np.empty((len(streams), len(entropies), L))
-    bit_generator = np.random.PCG64(0)
+    bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
-    pcg = {}
-    seeded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    keys = [e + (stream,) for stream in streams for e in entropies]
-    # each key's (state, inc) is unpacked straight into the reused state dict
-    for out, (pcg["state"], pcg["inc"]) in zip(z.reshape(len(keys), L), _pcg64_states(keys)):
+    philox = {}
+    seeded = {"bit_generator": "Philox", "state": philox, "buffer": np.zeros(4, np.uint64),
+              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for out, row in zip(z.reshape(-1, L), words.reshape(-1, 6)):
+        philox["key"], philox["counter"] = row[:2], row[2:]
         bit_generator.state = seeded
         generator.standard_normal(out=out)
     return _irfft_normals(z, amp)[..., :n_steps]
@@ -430,14 +331,17 @@ def _draw_streams(entropies, L: int, amp: np.ndarray, n_steps: int,
 def sample_field(model: CorrelationModel, grid: FieldGrid, seed) -> FieldRealization:
     """Sample both streams on ``grid`` from disjoint RNG streams.
 
+    ``seed`` is an int in [0, 2**64) or a tuple or list of one to three of
+    them; anything else is refused with ``ValueError`` before any draw.
     Deterministic: identical ``(model, grid, seed)`` give bit-identical
-    realizations.  The two streams are keyed ``seed + (0,)`` and ``seed +
-    (1,)`` (see ``_draw_streams``), so they are independent and individually
-    reproducible.
+    realizations.  The plus and minus streams are streams 0 and 1 of the
+    seed's ``Philox`` key (see ``_draw_streams``), so they are independent
+    and individually reproducible.
     """
+    entropy = _seed_entropy(seed)
     _grid_step(model, grid.dt)
     L, amp = embedding_spectrum(model, grid)
-    xi = _draw_streams([_seed_entropy(seed)], L, amp, grid.n_steps)
+    xi = _draw_streams([entropy], L, amp, grid.n_steps)
     return FieldRealization(grid=grid, xi_plus=xi[0, 0].copy(),
                             xi_minus=xi[1, 0].copy())
 

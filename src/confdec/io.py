@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -110,6 +111,10 @@ def density_matrix_from_json(path) -> DensityMatrix:
     # checked before anything of size n is allocated
     if not _is_int(n) or n < 2:
         raise ValueError(f"grid n must be an integer of at least 2, got {n!r}")
+    for name, value in (("dx", dx), ("x0", x0)):
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value)):
+            raise ValueError(f"grid {name} must be a finite number, got {value!r}")
     flat = np.asarray(flat, dtype=float)
     if flat.shape != (n * n, 2):
         raise ValueError(f"entries must hold n*n [re, im] pairs in row-major order, "

@@ -65,6 +65,22 @@ class TestIoRoundTrips:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"dx": None, "x0": 0.0}, "grid dx must be a finite number, got None"),
+        ({"dx": "a", "x0": 0.0}, "grid dx must be a finite number, got 'a'"),
+        ({"dx": True, "x0": 0.0}, "grid dx must be a finite number, got True"),
+        ({"dx": 1.0, "x0": float("nan")}, "grid x0 must be a finite number, got nan"),
+        ({"dx": 1.0, "x0": [0.0]}, "grid x0 must be a finite number, got [0.0]"),
+    ], ids=["null_dx", "string_dx", "bool_dx", "nan_x0", "list_x0"])
+    def test_json_grid_spacing_rejected(self, tmp_path, grid, message, capsys):
+        src = tmp_path / "rho.json"
+        io.write_json(src, {"grid": {"n": 2, **grid}, "entries": [[0.5, 0.0]] * 4})
+        rc = main(["evolve", "--input", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("edit", [
         # an x_j that is not one of the x_i values
         lambda rows: ["-2,-2.5," + rows[0].split(",", 2)[2], *rows[1:]],
@@ -224,6 +240,15 @@ class TestNonFiniteInput:
         assert main(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["field", "mc"])
+def test_seed_beyond_64_bits_rejected(tmp_path, command, capsys):
+    # refused when the parameters are built, before any draw or output
+    out = tmp_path / "o"
+    assert main([command, "--seed", str(2**64), "--out", str(out)]) == 2
+    assert "seed must be a non-negative int below 2**64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestFieldCommand:

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from confdec.errors import IndefiniteCovariance, ResolutionError
 from confdec.field import (CorrelationModel, FieldGrid, _draw_streams, _embedding,
-                           _smooth_length, embedding_spectrum, estimate_g1, estimate_g2,
-                           odd_moment_check, sample_field)
+                           _irfft_normals, _smooth_length, embedding_spectrum, estimate_g1,
+                           estimate_g2, odd_moment_check, sample_field)
 
 TAU = 1.0
 DT = TAU / 8.0
@@ -19,29 +19,26 @@ def make_realization(n_steps=32768, seed=42):
     return sample_field(model, grid, seed)
 
 
-def numpy_route_streams(key, streams, L, amp, n_steps):
-    """The streams of ``key`` from a fresh numpy generator each, as first assembled.
+def philox_streams(key, streams, L, amp, n_steps):
+    """The streams of ``key`` from a fresh numpy generator each.
 
-    Stream ``s`` draws from ``Generator(PCG64(SeedSequence(key + (s,))))``;
-    the spectrum is filled real part first, then ``+= 1j * ...``, then
-    weighted in place, as the library did before it seeded in bulk.
+    Stream ``s`` of ``key = (e0[, e1[, e2]])``, a missing component counting
+    as 0, draws from ``Generator(Philox(key=(e0, e1), counter=(0, e2,
+    len(key), s)))``, with the 128-bit key and 256-bit counter given as ints
+    whose little-endian 64-bit words those are.
     """
-    half = L // 2 + 1
+    e0, e1, e2 = key + (0,) * (3 - len(key))
     out = []
     for s in streams:
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key + (s,))))
-        z = gen.standard_normal(L)
-        spec = np.zeros(half, dtype=complex)
-        spec.real = z[:half]
-        spec[1:-1] += 1j * z[half:]
-        spec *= amp
-        out.append(np.fft.irfft(spec, n=L)[:n_steps])
+        gen = np.random.Generator(np.random.Philox(
+            key=e0 | e1 << 64, counter=e2 << 64 | len(key) << 128 | s << 192))
+        out.append(_irfft_normals(gen.standard_normal(L), amp)[:n_steps])
     return np.array(out)
 
 
-# keys whose components take one and two uint32 words, mixed in one batch
-MIXED_KEYS = [(11, 3, j) for j in (0, 255, 256, 2**32 - 1)] + [
-    (2**32, 3, 7), (2**40 + 5, 0, 2**32), (0, 2**64 + 1, 1)]
+# keys of one, two and three components, with the largest component, mixed in one batch
+MIXED_KEYS = [(0,), (2**64 - 1,), (7, 1), (2**64 - 1, 2**64 - 1), (11, 3, 0),
+              (11, 3, 255), (0, 2**64 - 1, 1), (2**64 - 1, 0, 2**64 - 1)]
 
 
 class TestCorrelationModel:
@@ -144,7 +141,8 @@ class TestGrid:
         from scipy.fft import next_fast_len
         targets = [*range(1, 20001), *range(2**15, 2**15 + 2048),
                    *range(2**18, 2**18 + 2048)]
-        assert [_smooth_length(t) for t in targets] == [next_fast_len(t) for t in targets]
+        assert [_smooth_length(t) for t in targets] == [next_fast_len(t, real=True)
+                                                        for t in targets]
 
 
 class TestSampling:
@@ -171,8 +169,8 @@ class TestSampling:
     def test_bad_seeds(self):
         model = CorrelationModel.gaussian(TAU)
         grid = FieldGrid(dt=DT, n_steps=16)
-        for bad in (-1, 1.5, (1, -2), (), "abc"):
-            with pytest.raises(ValueError):
+        for bad in (-1, 1.5, (1, -2), (), "abc", 2**64, (1, 2, 3, 4), True):
+            with pytest.raises(ValueError, match="seed"):
                 sample_field(model, grid, bad)
 
     def test_resolution_guard(self):
@@ -187,25 +185,31 @@ class TestSampling:
         with pytest.raises(ValueError):
             r.xi_plus[0] = 3.0
 
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
-    def test_sample_field_is_numpy_route(self, seed):
-        model = CorrelationModel.gaussian(TAU)
-        grid = FieldGrid(dt=DT, n_steps=100)
-        L, amp = embedding_spectrum(model, grid)
-        r = sample_field(model, grid, seed)
-        ref = numpy_route_streams((seed,), (0, 1), L, amp, grid.n_steps)
-        np.testing.assert_array_equal(r.xi_plus, ref[0])
-        np.testing.assert_array_equal(r.xi_minus, ref[1])
-
     @pytest.mark.parametrize("streams", [(0,), (1,), (0, 1)])
-    def test_bulk_seeded_draws_are_numpy_route(self, streams):
+    def test_draws_are_philox_layout(self, streams):
         grid = FieldGrid(dt=DT, n_steps=100)
         L, amp = embedding_spectrum(CorrelationModel.gaussian(TAU), grid)
         xi = _draw_streams(MIXED_KEYS, L, amp, grid.n_steps, streams)
         assert xi.shape == (len(streams), len(MIXED_KEYS), grid.n_steps)
         for j, key in enumerate(MIXED_KEYS):
             np.testing.assert_array_equal(
-                xi[:, j], numpy_route_streams(key, streams, L, amp, grid.n_steps))
+                xi[:, j], philox_streams(key, streams, L, amp, grid.n_steps))
+
+    def test_sample_field_keys_by_seed_and_its_length(self):
+        # the component count is a counter word, so trailing zeros still key
+        # three different draws
+        model = CorrelationModel.gaussian(TAU)
+        grid = FieldGrid(dt=DT, n_steps=64)
+        L, amp = embedding_spectrum(model, grid)
+        draws = []
+        for seed in ((5,), (5, 0), (5, 0, 0)):
+            r = sample_field(model, grid, seed)
+            np.testing.assert_array_equal(
+                [r.xi_plus, r.xi_minus], philox_streams(seed, (0, 1), L, amp, grid.n_steps))
+            draws.append(r.xi_plus)
+        for i in range(3):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))

@@ -89,6 +89,9 @@ class TestParams:
             default_params(seed=-1)
         with pytest.raises(ValueError):
             default_params(seed=1.5)
+        for bad in (2**64, (1, 2, 3, 4), (), True):
+            with pytest.raises(ValueError, match="seed"):
+                default_params(seed=bad)
 
 
 def constant_realization(value_plus, value_minus, dt=0.125, k0=24, k_t=8):
