@@ -185,6 +185,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             r.xi_plus[0] = 3.0
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
+    def test_sample_field_is_numpy_route(self, seed):
+        model = CorrelationModel.gaussian(TAU)
+        grid = FieldGrid(dt=DT, n_steps=100)
+        L, amp = embedding_spectrum(model, grid)
+        r = sample_field(model, grid, seed)
+        ref = philox_streams((seed,), (0, 1), L, amp, grid.n_steps)
+        np.testing.assert_array_equal(r.xi_plus, ref[0])
+        np.testing.assert_array_equal(r.xi_minus, ref[1])
+
     @pytest.mark.parametrize("streams", [(0,), (1,), (0, 1)])
     def test_draws_are_philox_layout(self, streams):
         grid = FieldGrid(dt=DT, n_steps=100)
