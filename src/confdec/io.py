@@ -112,8 +112,9 @@ def density_matrix_from_json(path) -> DensityMatrix:
     if not _is_int(n) or n < 2:
         raise ValueError(f"grid n must be an integer of at least 2, got {n!r}")
     for name, value in (("dx", dx), ("x0", x0)):
+        # an int beyond the float range is refused before isfinite overflows on it
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value)):
+                or abs(value) >= 2**1024 or not math.isfinite(value)):
             raise ValueError(f"grid {name} must be a finite number, got {value!r}")
     flat = np.asarray(flat, dtype=float)
     if flat.shape != (n * n, 2):

@@ -71,7 +71,8 @@ class TestIoRoundTrips:
         ({"dx": True, "x0": 0.0}, "grid dx must be a finite number, got True"),
         ({"dx": 1.0, "x0": float("nan")}, "grid x0 must be a finite number, got nan"),
         ({"dx": 1.0, "x0": [0.0]}, "grid x0 must be a finite number, got [0.0]"),
-    ], ids=["null_dx", "string_dx", "bool_dx", "nan_x0", "list_x0"])
+        ({"dx": 10**400, "x0": 0.0}, "grid dx must be a finite number, got 1000"),
+    ], ids=["null_dx", "string_dx", "bool_dx", "nan_x0", "list_x0", "huge_int_dx"])
     def test_json_grid_spacing_rejected(self, tmp_path, grid, message, capsys):
         src = tmp_path / "rho.json"
         io.write_json(src, {"grid": {"n": 2, **grid}, "entries": [[0.5, 0.0]] * 4})

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from confdec.errors import IndefiniteCovariance, ResolutionError
 from confdec.field import (CorrelationModel, FieldGrid, _draw_streams, _embedding,
-                           _irfft_normals, _smooth_length, embedding_spectrum, estimate_g1,
-                           estimate_g2, odd_moment_check, sample_field)
+                           _smooth_length, embedding_spectrum, estimate_g1, estimate_g2,
+                           odd_moment_check, sample_field)
 
 TAU = 1.0
 DT = TAU / 8.0
@@ -25,14 +25,22 @@ def philox_streams(key, streams, L, amp, n_steps):
     Stream ``s`` of ``key = (e0[, e1[, e2]])``, a missing component counting
     as 0, draws from ``Generator(Philox(key=(e0, e1), counter=(0, e2,
     len(key), s)))``, with the 128-bit key and 256-bit counter given as ints
-    whose little-endian 64-bit words those are.
+    whose little-endian 64-bit words those are.  The spectrum is filled real
+    part first, then ``+= 1j * ...``, then weighted in place, independently of
+    the library's assembly.
     """
     e0, e1, e2 = key + (0,) * (3 - len(key))
+    half = L // 2 + 1
     out = []
     for s in streams:
         gen = np.random.Generator(np.random.Philox(
             key=e0 | e1 << 64, counter=e2 << 64 | len(key) << 128 | s << 192))
-        out.append(_irfft_normals(gen.standard_normal(L), amp)[:n_steps])
+        z = gen.standard_normal(L)
+        spec = np.zeros(half, dtype=complex)
+        spec.real = z[:half]
+        spec[1:-1] += 1j * z[half:]
+        spec *= amp
+        out.append(np.fft.irfft(spec, n=L)[:n_steps])
     return np.array(out)
 
 
