@@ -2,7 +2,8 @@
 """Print SHA-256 digests of every confdec output on small fixed inputs.
 
 Runs each CLI subcommand once (``mc`` also on a noise-dominated input that
-exits 3), replays it from its manifest.json, and digests the Monte Carlo
+exits 3), replays it from its manifest.json, runs a ``kernel`` input that is
+refused (exit 2) and counts the files it left, and digests the Monte Carlo
 coherence records of a 300-draw run at dx = 5 and dx = 0.25.  It also
 digests one draw under a two-component key and the phases of 300 draws
 under three-component keys, both streams, so that each key layout shows.  Two
@@ -44,6 +45,11 @@ RUNS = [
     ("bound", ["bound", "--sweep-mass", "50,100", "--sweep-time", "0.1,1"]),
 ]
 
+# (name, argv) of runs refused after some of their work, which must write nothing
+REFUSED_RUNS = [
+    ("kernel-refused", ["kernel", "--dx-list", "1e200", "--compare-t", "100"]),
+]
+
 # (dx, T list) of the coherence_mc runs, 300 draws each at seed 901
 MC_RUNS = [(5.0, (100.0, 400.0)), (0.25, (25.0, 100.0))]
 
@@ -83,6 +89,13 @@ def cli_lines():
         yield f"{name} replay identical {len(same)}/{len(list(run.iterdir()))}"
 
 
+def refused_lines():
+    for name, argv in REFUSED_RUNS:
+        code, _err = run_cli(argv + ["--out", name])
+        files = list(Path(name).iterdir()) if Path(name).is_dir() else []
+        yield f"{name} exit {code} files {len(files)}"
+
+
 def mc_lines():
     for dx, t_list in MC_RUNS:
         params = McParams(a0=0.1, mass=1.0, tau=1.0, positions=(0.0, dx),
@@ -104,7 +117,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         write_inputs()
-        for line in (*cli_lines(), *mc_lines(), *draw_lines()):
+        for line in (*cli_lines(), *refused_lines(), *mc_lines(), *draw_lines()):
             print(line)
 
 

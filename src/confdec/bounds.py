@@ -221,6 +221,9 @@ def bound_report(experiment: ExperimentParams,
     the cosmological-source loss, and a comparison against an externally
     published reference bound when one is supplied.
     """
+    if reference_bound is not None and not 0 < reference_bound < math.inf:
+        raise ValueError(f"reference_bound must be positive and finite, "
+                         f"got {reference_bound!r}")
     mass_kg = experiment.mass_amu * SI.amu
     bound = lambda_bound(experiment)
     inputs = {

@@ -13,7 +13,10 @@ writes its resolved parameters to ``manifest.json`` in the output directory,
 and re-running from that manifest reproduces all outputs byte-identically.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical or
-statistical failure.
+statistical failure.  Each command computes everything before it writes
+anything, so a run that raises (exit 2, or exit 3 from a numerical error)
+writes nothing, while a run whose checks fail (exit 3) still writes every
+output and a manifest that replays it.
 """
 from __future__ import annotations
 
@@ -115,10 +118,9 @@ BOUND_SPECS = [
 # units mode -> (constants, time label, length label)
 UNITS = {"natural": (NATURAL, "tau", "c*tau"), "si": (SI, "s", "m")}
 
-# the file each command writes its {inputs, constants, results, checks} to
-SUMMARY_FILE = {"field": "summary.json", "mc": "rate.json",
-                "kernel": "summary.json", "evolve": "summary.json",
-                "bound": "report.json"}
+# the file each command writes its {inputs, constants, results, checks} to,
+# where it is not summary.json
+SUMMARY_FILE = {"mc": "rate.json", "bound": "report.json"}
 
 
 def _convert(value, typ):
@@ -179,12 +181,6 @@ def _resolve(args, config: dict, specs) -> dict:
     return params
 
 
-def _outdir(params) -> Path:
-    out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _summary(params, constants, results, checks) -> dict:
     return {"inputs": {k: v for k, v in params.items() if k != "out"},
             "constants": {"c": constants.c, "hbar": constants.hbar,
@@ -194,19 +190,26 @@ def _summary(params, constants, results, checks) -> dict:
             "results": results, "checks": checks}
 
 
-def _finish(command, params, out: Path, outputs, summary, failure=None) -> int:
-    """Write the command's summary file and ``manifest.json``; return the exit code.
+def _finish(command, params, files, summary, failure) -> int:
+    """Write a computed run's outputs and ``manifest.json``; return the exit code.
 
-    ``outputs`` are the data files the command already wrote.  With a
-    ``failure`` message, a false check prints it and exits 3; without one
-    the checks are reported but do not set the exit code.
+    ``files`` maps each data file's name to a writer that takes its path.
+    This is the only place that creates the output directory or writes a
+    file, so a handler that raises leaves nothing behind.  With a
+    ``failure`` message, a false check prints it and exits 3 once every
+    output is written; without one the checks are reported but do not set
+    the exit code.
     """
-    name = SUMMARY_FILE[command]
-    io.write_json(out / name, summary)
+    out = Path(params["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
+    summary_name = SUMMARY_FILE.get(command, "summary.json")
+    io.write_json(out / summary_name, summary)
     io.write_json(out / "manifest.json",
                   {"command": command, "version": __version__,
                    "params": {k: v for k, v in params.items() if k != "out"},
-                   "outputs": sorted([*outputs, name])})
+                   "outputs": sorted([*files, summary_name])})
     if failure is not None and not all(summary["checks"].values()):
         print(f"{command}: {failure}", file=sys.stderr)
         return 3
@@ -231,7 +234,7 @@ def _correlation_model(params) -> CorrelationModel:
     return model
 
 
-def cmd_field(params) -> int:
+def cmd_field(params):
     constants, tlab, _ = UNITS[params["units"]]
     model = _correlation_model(params)
     dt = _grid_step(model, params["dt"])
@@ -242,12 +245,10 @@ def cmd_field(params) -> int:
     g1 = estimate_g1(realization, max_lag)
     g2 = estimate_g2(realization, max_lag)
     moments = odd_moment_check(realization)
-
-    out = _outdir(params)
-    io.realization_to_csv(realization, out / "realization.csv", tlab)
-    io.correlation_to_csv(g1, out / "g1.csv", tlab)
-    io.correlation_to_csv(g2, out / "g2.csv", tlab)
-    io.moments_to_csv(moments, out / "moments.csv")
+    files = {"realization.csv": lambda p: io.realization_to_csv(realization, p, tlab),
+             "g1.csv": lambda p: io.correlation_to_csv(g1, p, tlab),
+             "g2.csv": lambda p: io.correlation_to_csv(g2, p, tlab),
+             "moments.csv": lambda p: io.moments_to_csv(moments, p)}
 
     check_lags = [lag for lag in (0.0, model.tau / 2.0, model.tau, 2.0 * model.tau)
                   if lag <= max_lag]
@@ -276,24 +277,21 @@ def cmd_field(params) -> int:
         "sample_var_plus": float(realization.xi_plus.var()),
         "sample_var_minus": float(realization.xi_minus.var()),
     }
-    return _finish("field", params, out,
-                   ["realization.csv", "g1.csv", "g2.csv", "moments.csv"],
-                   _summary(params, constants, results, checks),
-                   "statistical checks failed")
+    return (files, _summary(params, constants, results, checks),
+            "statistical checks failed")
 
 
-def cmd_mc(params) -> int:
+def cmd_mc(params):
     constants, tlab, xlab = UNITS[params["units"]]
     mc = McParams(a0=params["a0"], mass=params["mass"], tau=params["tau"],
                   positions=(0.0, params["dx"]), t_list=tuple(params["t_list"]),
                   n_samples=params["n_samples"], seed=params["seed"],
                   dt=params["dt"], constants=constants)
-    _check_fit_times(mc.t_list)   # before drawing, so a bad T grid writes nothing
-    estimate = coherence_mc(mc)
-    out = _outdir(params)
-    io.coherence_to_csv(estimate, out / "coherence.csv", xlab, tlab)
-
+    _check_fit_times(mc.t_list)   # the fit refuses a bad T grid; refuse it before drawing
     gp = grw_params(params["mass"], params["a0"], params["tau"], constants)
+    estimate = coherence_mc(mc)
+    files = {"coherence.csv": lambda p: io.coherence_to_csv(estimate, p, xlab, tlab)}
+
     predicted = gp.rate(mc.delta_x)
     results = {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
                "predicted_rate": predicted}
@@ -302,29 +300,22 @@ def cmd_mc(params) -> int:
         fit = fit_decoherence_rate(estimate)
     except UndersampledSignal as exc:
         checks["signal_above_noise"] = False
-        return _finish("mc", params, out, ["coherence.csv"],
-                       _summary(params, constants, results, checks), str(exc))
+        return files, _summary(params, constants, results, checks), str(exc)
     results.update(rate=fit.rate, rate_stderr=fit.stderr, intercept=fit.intercept,
                    ratio_to_predicted=(fit.rate / predicted if predicted > 0 else None))
     if predicted > 0:
         checks["rate_within_3_stderr"] = bool(
             abs(fit.rate - predicted) <= 3.0 * max(fit.stderr, 1e-300))
-    return _finish("mc", params, out, ["coherence.csv"],
-                   _summary(params, constants, results, checks),
-                   "fitted rate is more than 3 stderr from the prediction")
+    return (files, _summary(params, constants, results, checks),
+            "fitted rate is more than 3 stderr from the prediction")
 
 
-def cmd_kernel(params) -> int:
+def cmd_kernel(params):
     constants, tlab, xlab = UNITS[params["units"]]
     model = _correlation_model(params)
     gp = grw_params(params["mass"], params["a0"], model.tau, constants)
-    out = _outdir(params)
-
-    rows = [(dx, t, decoherence_factor(dx, t, gp))
-            for dx in params["dx_list"] for t in params["t_list"]]
-    io.write_csv(out / "factors.csv",
-                 [f"delta_x[{xlab}]", f"t[{tlab}]", "factor[1]"], rows)
-
+    factors = [(dx, t, decoherence_factor(dx, t, gp))
+               for dx in params["dx_list"] for t in params["t_list"]]
     comparison = []
     checks = {}
     gaussian = model.kind == "gaussian"
@@ -346,18 +337,19 @@ def cmd_kernel(params) -> int:
                     checks[key] = bool(abs(general) <= 1e-12 * scale)
                 else:
                     checks[key] = bool(abs(rel) <= model.tau / t_total)
-    io.write_csv(out / "comparison.csv",
-                 [f"delta_x[{xlab}]", f"T[{tlab}]", "general_kernel[1]",
-                  "gaussian_closed_form[1]", "rel_deviation[1]"], comparison)
+    files = {"factors.csv": lambda p: io.write_csv(
+                 p, [f"delta_x[{xlab}]", f"t[{tlab}]", "factor[1]"], factors),
+             "comparison.csv": lambda p: io.write_csv(
+                 p, [f"delta_x[{xlab}]", f"T[{tlab}]", "general_kernel[1]",
+                     "gaussian_closed_form[1]", "rel_deviation[1]"], comparison)}
 
     results = {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
                "correlation_kind": model.kind}
-    return _finish("kernel", params, out, ["factors.csv", "comparison.csv"],
-                   _summary(params, constants, results, checks),
-                   "closed-form agreement checks failed")
+    return (files, _summary(params, constants, results, checks),
+            "closed-form agreement checks failed")
 
 
-def cmd_evolve(params) -> int:
+def cmd_evolve(params):
     if not params.get("input"):
         raise ValueError("evolve requires --input (density matrix .json or .csv)")
     constants = UNITS[params["units"]][0]
@@ -384,8 +376,6 @@ def cmd_evolve(params) -> int:
         evolved = evolve_pure_decoherence(rho, gp, params["t"])
         t_total = params["t"]
 
-    out = _outdir(params)
-    io.density_matrix_to_json(evolved, out / "evolved.json")
     min_eig = evolved.min_eigenvalue()
     herm_dev = float(np.abs(evolved.entries - evolved.entries.conj().T).max())
     checks = {
@@ -396,12 +386,12 @@ def cmd_evolve(params) -> int:
     results = {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
                "t_total": t_total, "trace_in": rho.trace(),
                "trace_out": evolved.trace(), "min_eigenvalue": min_eig}
-    return _finish("evolve", params, out, ["evolved.json"],
-                   _summary(params, constants, results, checks),
-                   "invariant checks failed")
+    files = {"evolved.json": lambda p: io.density_matrix_to_json(evolved, p)}
+    return (files, _summary(params, constants, results, checks),
+            "invariant checks failed")
 
 
-def cmd_bound(params) -> int:
+def cmd_bound(params):
     experiment = ExperimentParams(mass_amu=params["mass_amu"],
                                   flight_time=params["flight_time"],
                                   contrast_loss=params["contrast_loss"],
@@ -412,27 +402,22 @@ def cmd_bound(params) -> int:
     report = bound_report(experiment, lambda_cut=params["lambda_cut"],
                           source=source,
                           reference_bound=params["reference_bound"])
-    out = _outdir(params)
-    outputs = []
-
-    masses = params["sweep_mass"] or [params["mass_amu"]]
-    times = params["sweep_time"] or [params["flight_time"]]
-    losses = params["sweep_loss"] or [params["contrast_loss"]]
+    files = {}
     if params["sweep_mass"] or params["sweep_time"] or params["sweep_loss"]:
-        rows = []
-        for m in masses:
-            for t in times:
-                for d in losses:
-                    rows.append((m, t, d, lambda_bound(ExperimentParams(m, t, d))))
-        io.write_csv(out / "sweep.csv",
-                     ["mass[amu]", "flight_time[s]", "contrast_loss[1]",
-                      "lambda_bound[1]"], rows)
-        outputs.append("sweep.csv")
+        rows = [(m, t, d, lambda_bound(ExperimentParams(m, t, d)))
+                for m in params["sweep_mass"] or [params["mass_amu"]]
+                for t in params["sweep_time"] or [params["flight_time"]]
+                for d in params["sweep_loss"] or [params["contrast_loss"]]]
+        files["sweep.csv"] = lambda p: io.write_csv(
+            p, ["mass[amu]", "flight_time[s]", "contrast_loss[1]", "lambda_bound[1]"],
+            rows)
     # the report keeps bound_report's own SI-labelled constants, and its
     # checks are informational: the exit code is 0 whatever they say
-    return _finish("bound", params, out, outputs, report)
+    return files, report, None
 
 
+# command -> (parameter specs, handler, help); a handler computes the whole
+# run and returns (files, summary, failure) for _finish to write
 COMMANDS = {
     "field": (FIELD_SPECS, cmd_field, "sample a field and check its statistics"),
     "mc": (MC_SPECS, cmd_mc, "Monte Carlo coherence decay and rate fit"),
@@ -475,7 +460,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         params = _resolve(args, config, specs)
-        return handler(params)
+        return _finish(args.command, params, *handler(params))
     except (ValueError, OSError) as exc:
         print(f"confdec {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -29,12 +29,22 @@ _HALVING_TOL = 1e-6
 
 def grw_params(mass: float, a0: float, tau: float,
                constants: PhysicalConstants = NATURAL) -> "GrwParams":
-    """Localization rate and scale implied by the fluctuation model."""
+    """Localization rate and scale implied by the fluctuation model.
+
+    ``ValueError`` when an input is not positive and finite, or when the
+    rate or scale it implies is not a finite float.
+    """
     if not (0 < mass < math.inf and 0 < a0 < math.inf and 0 < tau < math.inf):
         raise ValueError("mass, a0 and tau must be positive and finite")
     c, hbar = constants.c, constants.hbar
-    lam = math.sqrt(math.pi / 2.0) * mass**2 * c**4 * a0**4 * tau / hbar**2
-    alpha = 8.0 / (c * tau) ** 2
+    try:
+        lam = math.sqrt(math.pi / 2.0) * mass**2 * c**4 * a0**4 * tau / hbar**2
+        alpha = 8.0 / (c * tau) ** 2
+    except (OverflowError, ZeroDivisionError):   # a power overflows or underflows
+        lam = alpha = math.inf
+    if not (lam < math.inf and 0 < alpha < math.inf):
+        raise ValueError(f"mass = {mass!r}, a0 = {a0!r} and tau = {tau!r} give a "
+                         "lambda_grw or alpha that is not a finite float")
     return GrwParams(lambda_grw=lam, alpha=alpha)
 
 

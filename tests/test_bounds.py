@@ -210,6 +210,11 @@ class TestBoundReport:
         rep = bound_report(CS, reference_bound=1.0)
         assert not rep["checks"]["reference_discrepancy"]["same_order_of_magnitude"]
 
+    @pytest.mark.parametrize("reference", [0.0, -18.0, math.inf, math.nan])
+    def test_reference_bound_must_be_positive_and_finite(self, reference):
+        with pytest.raises(ValueError, match="reference_bound must be positive and finite"):
+            bound_report(CS, reference_bound=reference)
+
     def test_explicit_cutoff(self):
         rep = bound_report(CS, lambda_cut=100.0)
         assert rep["results"]["cutoff_model"]["lambda_cut"] == 100.0

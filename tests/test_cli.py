@@ -243,6 +243,29 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--mass-amu", "1e300"], "not a finite float"),
+    (["mc", "--mass", "1e200", "--n-samples", "100"], "mass = 1e+200"),
+    (["kernel", "--a0", "1e100"], "a0 = 1e+100"),
+    (["kernel", "--tau", "1e-200"], "tau = 1e-200"),
+    (["evolve", "--input", "rho.json", "--tau", "1e-200"], "tau = 1e-200"),
+    (["kernel", "--dx-list", "1e200", "--compare-t", "100"],
+     "validity needs T >= 10 max(tau, delta_x / c)"),
+    (["bound", "--reference-bound", "0"], "reference_bound must be positive and finite"),
+    (["bound", "--reference-bound", "-18"], "reference_bound must be positive and finite"),
+], ids=["bound_mass", "mc_mass", "kernel_a0", "kernel_tau", "evolve_tau",
+        "kernel_dx", "bound_reference_zero", "bound_reference_negative"])
+def test_run_refused_after_work_writes_nothing(tmp_path, argv, message, capsys):
+    # each is refused once part of its work is done: exit 2 and no outputs
+    io.density_matrix_to_json(superposed_gaussians(X_GRID, sigma=1.0, separation=4.0),
+                              tmp_path / "rho.json")
+    out = tmp_path / "o"
+    argv = [str(tmp_path / arg) if arg == "rho.json" else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["field", "mc"])
 def test_seed_beyond_64_bits_rejected(tmp_path, command, capsys):
     # refused when the parameters are built, before any draw or output

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ class TestGrwParams:
             GrwParams(lambda_grw=-1.0, alpha=8.0)
         with pytest.raises(ValueError):
             GrwParams(lambda_grw=1.0, alpha=0.0)
+
+    @pytest.mark.parametrize("mass, a0, tau", [
+        (1e300, 0.1, 1.0),      # mass**2 overflows
+        (1.0, 1e100, 1.0),      # a0**4 overflows
+        (1e154, 10.0, 1.0),     # the product overflows to inf
+        (1.0, 0.1, 1e-200),     # (c*tau)**2 underflows to zero
+    ], ids=["mass_squared", "a0_fourth", "product", "tau_squared"])
+    def test_unrepresentable_rate_rejected(self, mass, a0, tau):
+        message = (f"mass = {mass!r}, a0 = {a0!r} and tau = {tau!r} give a "
+                   "lambda_grw or alpha that is not a finite float")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grw_params(mass, a0, tau)
 
 
 class TestDecoherenceFactor:

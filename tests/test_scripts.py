@@ -40,6 +40,7 @@ def test_output_digests(tmp_path):
     lines = run("output_digests.py", cwd=tmp_path).splitlines()
     assert "mc exit 0 stderr " + hashlib.sha256(b"").hexdigest() in lines
     assert any(line.startswith("mc-noise exit 3 ") for line in lines)
+    assert "kernel-refused exit 2 files 0" in lines
     assert sum(line.endswith("replay identical 3/3") for line in lines) == 5
     assert [line.split()[1] for line in lines if line.startswith("coherence_mc")] == [
         "dx=5", "dx=0.25"]
