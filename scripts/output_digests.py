@@ -4,12 +4,13 @@
 Runs each CLI subcommand once (``mc`` also on a noise-dominated input that
 exits 3), replays it from its manifest.json, runs a ``kernel`` input that is
 refused (exit 2) and counts the files it left, and digests the Monte Carlo
-coherence records of a 300-draw run at dx = 5 and dx = 0.25.  It also
-digests one draw under a two-component key and the phases of 300 draws
-under three-component keys, both streams, so that each key layout shows.  Two
-checkouts that print the same lines produce the same bytes; diff the output
-of the two to check that a change leaves results unchanged.  Runs in a
-temporary directory and takes a few seconds.
+coherence records and their covariance across T of a 300-draw run at
+dx = 5 and dx = 0.25.  It also digests one ``sample_field`` draw under the
+key ``(7, 1)`` and the phases of 300 ``sample_phases`` draws, both streams,
+under the Monte Carlo keys ``(seed, j)``, so that a change to the key layout
+shows.  Two checkouts that print the same lines produce the same bytes; diff
+the output of the two to check that a change leaves results unchanged.  Runs
+in a temporary directory and takes a few seconds.
 """
 import contextlib
 import hashlib
@@ -100,9 +101,10 @@ def mc_lines():
     for dx, t_list in MC_RUNS:
         params = McParams(a0=0.1, mass=1.0, tau=1.0, positions=(0.0, dx),
                           t_list=t_list, n_samples=300, seed=901)
+        est = coherence_mc(params)
         records = np.array([(r.t, r.mean.real, r.mean.imag, r.stderr, r.n_samples)
-                            for r in coherence_mc(params).records])
-        yield f"coherence_mc dx={dx:g} {sha256(records.tobytes())}"
+                            for r in est.records])
+        yield f"coherence_mc dx={dx:g} {sha256(records.tobytes() + est.covariance.tobytes())}"
 
 
 def draw_lines():

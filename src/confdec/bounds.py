@@ -190,8 +190,12 @@ def lambda_bound(experiment: ExperimentParams,
     Inverse of ``predicted_contrast_loss`` over the saturated-kernel regime:
     feeding a predicted loss back in recovers the cutoff exactly.
     """
-    gp = grw_params(experiment.mass_amu * constants.amu, 1.0, constants.t_planck,
-                    constants)
+    try:
+        gp = grw_params(experiment.mass_amu * constants.amu, 1.0, constants.t_planck,
+                        constants)
+    except ValueError:
+        raise ValueError(f"mass_amu = {experiment.mass_amu!r} gives a lambda_grw that "
+                         "is not a finite float") from None
     return (gp.lambda_grw * experiment.flight_time
             / experiment.contrast_loss) ** (1.0 / 7.0)
 

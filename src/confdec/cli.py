@@ -61,8 +61,8 @@ MC_SPECS = [
     ("mass", float, 1.0, "particle mass"),
     ("tau", float, 1.0, "correlation time"),
     ("dx", float, 5.0, "wavepacket separation x' - x"),
-    ("t_list", FLIST, [100.0, 200.0, 300.0, 400.0], "flight times, comma separated"),
-    ("n_samples", int, 2000, "realizations per flight time"),
+    ("t_list", FLIST, [100.0, 200.0, 300.0, 400.0], "distinct flight times, comma separated"),
+    ("n_samples", int, 2000, "realizations, one ensemble shared by every flight time"),
     ("seed", int, 1234, "master RNG seed"),
     ("dt", float, None, "integration step (default tau/8)"),
     ("units", str, "natural", "unit system: natural or si"),

@@ -32,7 +32,8 @@ class UndersampledSignal(ConfdecError):
 
 
 class FitDegenerate(ConfdecError, ValueError):
-    """Rate fit attempted on a T range spanning less than a factor of two."""
+    """Rate fit on a T range spanning less than a factor of two, or on a
+    covariance of the coherence estimates that is not positive definite."""
 
 
 class QuadratureFailure(ConfdecError):

@@ -69,7 +69,8 @@ class GrwParams:
         dx = np.asarray(delta_x, dtype=float)
         if np.isnan(dx).any():
             raise ValueError("delta_x must not be NaN")
-        out = self.lambda_grw * (1.0 - np.exp(-0.25 * self.alpha * dx * dx))
+        with np.errstate(over="ignore"):    # a huge dx saturates: exp(-inf) = 0
+            out = self.lambda_grw * (1.0 - np.exp(-0.25 * self.alpha * dx * dx))
         return float(out) if out.ndim == 0 else out
 
 

@@ -24,12 +24,18 @@ s, with the rest of xi- held fixed, has a closed form too.  That halves
 the synthesis per draw and cuts the per-draw variance about 100x at dx = 5
 and 9-20x at dx <= 1 against scoring by ``E[exp(i dphi) | xi-]`` alone.
 
-Draws are keyed by ``(master seed, T index, sample index)`` and synthesized
-by ``field``, so the phases are reproducible and bit-identical whatever the
-block batching, and equal to those of ``sample_field`` under the same key;
-``coherence_mc`` reads stream 1 of the same keys, the minus stream of
-``sample_field``.  Each T's coherence and its standard error are reduced
-with numpy over the full ensemble of draws.
+One ensemble serves every T.  Draws are keyed by ``(master seed, sample
+index)`` and synthesized by ``field`` on the realization grid of the longest
+T; every shorter T reads a prefix of the same streams, since all the grids
+start at the same node.  So the phases are reproducible and bit-identical
+whatever the block batching, and equal to those of ``sample_field`` under
+the same key and grid; ``coherence_mc`` reads stream 1 of the same keys,
+the minus stream of ``sample_field``.  Each T's coherence, its standard
+error and their covariance across T are reduced with numpy over the full
+ensemble of draws, and ``fit_decoherence_rate`` fits the rate by
+generalized least squares on that covariance.  The scores go through BLAS
+products, whose last bits can depend on their row count and the BLAS
+thread count; ``_BLOCK`` is a constant, so a run reproduces on one host.
 """
 from __future__ import annotations
 
@@ -46,7 +52,7 @@ from .field import (CorrelationModel, FieldGrid, FieldRealization,
                     _draw_streams, _embedding, _grid_step, _is_int, _seed_entropy,
                     embedding_spectrum)
 
-_BLOCK = 256            # samples per synthesis batch: bounds the streams held in memory
+_BLOCK = 128            # samples per synthesis batch: bounds the streams held in memory
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
 # Per-draw projections onto at most this many rows run through einsum on the
 # calling thread.  As BLAS products they are small enough that handing them
@@ -64,8 +70,9 @@ class McParams:
         whole number of steps ``c dt``, so that the light-cone windows
         t -/+ x/c read the streams at grid nodes.
     t_list
-        Flight times; each must be a whole number of steps ``dt`` and exceed
-        ``10 |x - x'| / c`` so edge effects stay subdominant.
+        Flight times, none repeated; each must be a whole number of steps
+        ``dt`` and exceed ``10 |x - x'| / c`` so edge effects stay
+        subdominant.
     dt
         Integration step, defaulting to ``tau / 8``.
 
@@ -105,11 +112,16 @@ class McParams:
         for x in self.positions:
             _whole_steps(x, self.constants.c * dt, "position", "c*dt")
         dx_time = abs(self.positions[1] - self.positions[0]) / self.constants.c
+        steps = []
         for t in self.t_list:
             if t <= 10.0 * dx_time:
                 raise ValueError(
                     f"T = {t} must exceed 10 |x - x'| / c = {10.0 * dx_time}")
-            _whole_steps(t, dt, "T")
+            steps.append(_whole_steps(t, dt, "T"))
+        if len(set(steps)) < len(steps):
+            # every T scores the same draws, so a repeat would make their
+            # covariance singular
+            raise ValueError(f"t_list repeats a flight time: {self.t_list}")
         if not _is_int(self.n_samples):
             raise ValueError(f"n_samples must be an int, got {self.n_samples!r}")
         if isinstance(self.seed, (tuple, list)):
@@ -137,10 +149,20 @@ class CoherenceRecord:
     n_samples: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceEstimate:
+    """Coherence records, one per T, and the covariance of their estimates.
+
+    ``covariance[i, j]`` is the sample covariance, over the draws and
+    divided by their number, of the scores of T_i and T_j, each projected
+    on its own record's mean direction; its diagonal is each record's
+    ``stderr**2``.  None stands for independent records, the diagonal
+    alone.
+    """
+
     delta_x: float
     records: tuple
+    covariance: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -232,24 +254,31 @@ def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
                            realization.grid, t_final, x, params)[0])
 
 
-def _keyed_blocks(params: McParams, t_index: int, grid: FieldGrid, streams=(0, 1)):
-    """``(slice, xi)`` per batch of the draws keyed ``(seed, t_index, j)``.
+def _keyed_blocks(params: McParams, streams=(0, 1)):
+    """``(slice, xi)`` per batch of the draws keyed ``(seed, j)``.
 
-    ``xi`` holds the given streams of the batch, ``(len(streams), b, n)``.
+    ``xi`` holds the given streams of the batch, ``(len(streams), b, n)``, on
+    the grid of the longest T, ``_mc_grid(params, max(params.t_list))``.
     """
+    grid = _mc_grid(params, max(params.t_list))
     L, amp = embedding_spectrum(params.model, grid)
     for start in range(0, params.n_samples, _BLOCK):
         stop = min(start + _BLOCK, params.n_samples)
         yield slice(start, stop), _draw_streams(
-            [(params.seed, t_index, j) for j in range(start, stop)],
+            [(params.seed, j) for j in range(start, stop)],
             L, amp, grid.n_steps, streams)
 
 
-def sample_phases(params: McParams, t: float, t_index: int = 0):
-    """All per-sample phases ``(phi_x, phi_x')`` at flight time ``t``, streams as drawn."""
-    grid = _mc_grid(params, t)
+def sample_phases(params: McParams, t: float):
+    """All per-sample phases ``(phi_x, phi_x')`` at flight time ``t``, streams as drawn.
+
+    The draws are those ``coherence_mc`` scores: keyed ``(seed, j)`` on the
+    grid of the longest T of ``params``, so ``t`` may be any whole number of
+    steps up to it (``OutOfRange`` beyond).
+    """
+    grid = _mc_grid(params, max(params.t_list))
     phases = np.empty((2, params.n_samples))
-    for block, xi in _keyed_blocks(params, t_index, grid):
+    for block, xi in _keyed_blocks(params):
         for out, x in zip(phases, params.positions):
             out[block] = _phase_at(xi[0], xi[1], grid, t, x, params)
     return phases[0], phases[1]
@@ -371,34 +400,45 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
 def coherence_mc(params: McParams) -> CoherenceEstimate:
     """Ensemble coherence ``M[exp(i (phi(x') - phi(x)))]`` for every T.
 
-    Each T uses its own independent ensemble of ``n_samples`` draws.  Only
-    the minus stream is drawn: each draw is scored as its exact conditional
-    coherence ``z_j = E[exp(i dphi) | m_perp]``, the plus stream and the
-    linear direction of the minus stream integrated in closed form
-    (``_conditional_scorer``; conditional Monte Carlo, or
-    Rao-Blackwellization).  The mean of ``z_j`` is unbiased for the
-    coherence, with a smaller variance than ``exp(i dphi)`` of the draws.
+    One ensemble of ``n_samples`` draws, keyed ``(seed, j)``, serves every T:
+    each draw's minus stream is synthesized once on the grid of the longest
+    T, and each T scores the prefix of it that its own grid spans (every
+    grid starts at the same node).  Only the minus stream is drawn: each
+    draw is scored as its exact conditional coherence ``z_j = E[exp(i dphi)
+    | m_perp]``, the plus stream and the linear direction of the minus
+    stream integrated in closed form (``_conditional_scorer``; conditional
+    Monte Carlo, or Rao-Blackwellization).  The mean of ``z_j`` is unbiased
+    for the coherence, with a smaller variance than ``exp(i dphi)`` of the
+    draws.  Each T's scorer uses the covariance of its own grid's
+    embedding; on the benchmark's grids its row agrees with the longest
+    grid's, which the prefix is drawn from, to 2.2e-16 absolute.
+
     The standard error is that of the coherence magnitude: the sample
     standard deviation of ``z_j`` along the mean direction over
-    ``sqrt(n_samples)``.
+    ``sqrt(n_samples)``.  Since the T share draws, their estimates
+    correlate; ``covariance`` holds the sample covariance of those
+    projected scores over ``n_samples``, for ``fit_decoherence_rate``.
     """
     if params.n_samples < 100:
         raise InsufficientSamples(
             f"n_samples = {params.n_samples} < 100 gives meaningless statistics")
-    records = []
-    for t_index, t in enumerate(params.t_list):
-        grid = _mc_grid(params, t)
-        _spread, score = _conditional_scorer(params, grid, t)
-        z = np.empty(params.n_samples, dtype=complex)
-        for block, xi in _keyed_blocks(params, t_index, grid, streams=(1,)):
-            z[block] = score(xi[0])
-        del score, xi   # held into the next T, they would raise the peak memory
-        mean = z.mean()
-        along = (z * np.exp(-1j * np.angle(mean))).real
-        records.append(CoherenceRecord(
-            t=t, mean=complex(mean), n_samples=z.size,
-            stderr=float(along.std(ddof=1) / math.sqrt(z.size))))
-    return CoherenceEstimate(delta_x=params.delta_x, records=tuple(records))
+    n = params.n_samples
+    grids = [_mc_grid(params, t) for t in params.t_list]
+    scorers = [(grid.n_steps, _conditional_scorer(params, grid, t)[1])
+               for grid, t in zip(grids, params.t_list)]
+    z = np.empty((len(scorers), n), dtype=complex)
+    for block, xi in _keyed_blocks(params, streams=(1,)):
+        for out, (n_steps, score) in zip(z, scorers):
+            out[block] = score(xi[0][:, :n_steps])    # a view: a copy costs time
+    mean = z.mean(axis=1)
+    along = (z * np.exp(-1j * np.angle(mean))[:, None]).real
+    along -= along.mean(axis=1, keepdims=True)
+    covariance = (along @ along.T) / ((n - 1) * n)
+    stderr = np.sqrt(np.diag(covariance))
+    records = tuple(CoherenceRecord(t=t, mean=complex(m), stderr=float(e), n_samples=n)
+                    for t, m, e in zip(params.t_list, mean, stderr))
+    return CoherenceEstimate(delta_x=params.delta_x, records=records,
+                             covariance=covariance)
 
 
 def _check_fit_times(t_list) -> None:
@@ -412,12 +452,17 @@ def _check_fit_times(t_list) -> None:
 
 
 def fit_decoherence_rate(estimate: CoherenceEstimate) -> RateFit:
-    """Weighted linear fit of ``-ln|mean|`` against T.
+    """Generalized least-squares fit of ``-ln|mean|`` against T (Aitken 1935).
 
     The slope estimates the decoherence rate; the intercept absorbs the
-    T-independent boundary dephasing.  Requires at least four distinct T
-    spanning a factor of two, with every coherence at least five standard
-    errors above zero.
+    T-independent boundary dephasing.  The covariance of ``-ln|mean_i|`` is
+    taken to first order, ``V_ij = covariance_ij / (|mean_i| |mean_j|)``;
+    with a diagonal covariance this is the weighted fit with weights
+    ``(|mean| / stderr)^2``.  When every stderr is zero the points are exact
+    and the fit is unweighted, with zero stderr.  Requires at least four
+    distinct T spanning a factor of two, with every coherence at least five
+    standard errors above zero; a covariance that is not positive definite
+    raises ``FitDegenerate``.
     """
     recs = estimate.records
     ts = np.array([r.t for r in recs])
@@ -428,10 +473,21 @@ def fit_decoherence_rate(estimate: CoherenceEstimate) -> RateFit:
     if low.any():
         raise UndersampledSignal("coherence magnitude within 5 stderr of zero at T = "
                                  + ", ".join(f"{t:g}" for t in ts[low]))
-    y = -np.log(mags)
-    if errs.max() == 0.0:
-        (rate, intercept), stderr = np.polyfit(ts, y, 1), 0.0
+    exact = errs.max() == 0.0
+    if exact:
+        v = np.eye(ts.size)
     else:
-        (rate, intercept), cov = np.polyfit(ts, y, 1, w=mags / errs, cov="unscaled")
-        stderr = math.sqrt(cov[0, 0])
+        cov = (np.diag(errs * errs) if estimate.covariance is None
+               else np.asarray(estimate.covariance, dtype=float))
+        v = cov / np.outer(mags, mags)
+    try:
+        chol = np.linalg.cholesky(v)
+    except np.linalg.LinAlgError:
+        raise FitDegenerate("the covariance of the coherence estimates is not "
+                            "positive definite") from None
+    # whiten by the Cholesky factor, then ordinary least squares
+    design = np.linalg.solve(chol, np.column_stack([ts, np.ones_like(ts)]))
+    (rate, intercept), *_ = np.linalg.lstsq(design, np.linalg.solve(chol, -np.log(mags)),
+                                            rcond=None)
+    stderr = 0.0 if exact else math.sqrt(np.linalg.inv(design.T @ design)[0, 0])
     return RateFit(rate=float(rate), stderr=stderr, intercept=float(intercept))

@@ -90,6 +90,11 @@ class TestLambdaBound:
         assert lambda_bound(tighter) / lambda_bound(CS) == pytest.approx(
             10.0 ** (1.0 / 7.0), rel=1e-12)
 
+    def test_unrepresentable_rate_names_mass_amu(self):
+        # the message quotes the mass as given, not the SI inputs of grw_params
+        with pytest.raises(ValueError, match=r"^mass_amu = 1e\+300 .*not a finite float"):
+            lambda_bound(ExperimentParams(1e300, 0.32, 0.03))
+
     def test_loss_round_trip_exact(self):
         model = build_cutoff_model(lambda_bound(CS))
         assert predicted_contrast_loss(CS, model) == pytest.approx(

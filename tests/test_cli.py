@@ -275,6 +275,14 @@ def test_seed_beyond_64_bits_rejected(tmp_path, command, capsys):
     assert not out.exists()
 
 
+def test_repeated_flight_time_rejected(tmp_path, capsys):
+    # every T scores the same draws, so a repeat is refused before any draw
+    out = tmp_path / "o"
+    assert main(["mc", "--t-list", "100,100,200,300,400", "--out", str(out)]) == 2
+    assert "t_list repeats a flight time" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestFieldCommand:
     def test_run_and_manifest_replay(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"

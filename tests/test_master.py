@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ class TestGrwParams:
         out = GP.rate(np.array([0.0, 1.0, math.inf]))
         assert out.shape == (3,)
         assert out[0] == 0.0 and out[2] == GP.lambda_grw
+
+    def test_huge_separation_saturates_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert GP.rate(1e200) == GP.lambda_grw
+            assert np.array_equal(GP.rate(np.array([1e200, -1e300])),
+                                  [GP.lambda_grw, GP.lambda_grw])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from confdec import montecarlo
 from confdec.core import NATURAL
 from confdec.errors import (FitDegenerate, InsufficientSamples, OutOfRange,
                             UndersampledSignal)
@@ -20,23 +22,28 @@ def default_params(**kw):
     return McParams(**base)
 
 
-def reference_phases(params: McParams, t: float, t_index: int = 0,
+def long_grid(params: McParams) -> FieldGrid:
+    """The grid of the longest T, which every draw is synthesized on."""
+    return _mc_grid(params, max(params.t_list))
+
+
+def reference_phases(params: McParams, t: float,
                      signs: tuple[float, float] = (1.0, 1.0)) -> np.ndarray:
     """Every draw's phases by direct quadrature: ``(n_samples, 2 positions)``.
 
-    Each draw is rebuilt with ``sample_field`` from its ``(seed, t_index, j)``
-    key.  At a position ``off`` steps from x = 0 it reads xi+ at the nodes
-    ``k0 + k - off`` (t' - x/c) and xi- at ``k0 + k + off`` (t' + x/c), for
-    the nodes t' = k dt of [0, t], and integrates the potential
-    ``a0 s + a0^2 s^2 / 2`` of ``s = signs[0] xi+ + signs[1] xi-`` with an
-    explicit trapezoid.
+    Each draw is rebuilt with ``sample_field`` from its ``(seed, j)`` key on
+    the grid of the longest T.  At a position ``off`` steps from x = 0 it
+    reads xi+ at the nodes ``k0 + k - off`` (t' - x/c) and xi- at ``k0 + k +
+    off`` (t' + x/c), for the nodes t' = k dt of [0, t], and integrates the
+    potential ``a0 s + a0^2 s^2 / 2`` of ``s = signs[0] xi+ + signs[1] xi-``
+    with an explicit trapezoid.
     """
     k0, k_t, offsets, w, pref, _cov = stream_setup(params, t)
-    grid = _mc_grid(params, t)
+    grid = long_grid(params)
     nodes = k0 + np.arange(k_t + 1)
     out = np.empty((params.n_samples, 2))
     for j in range(params.n_samples):
-        r = sample_field(params.model, grid, (params.seed, t_index, j))
+        r = sample_field(params.model, grid, (params.seed, j))
         for i, off in enumerate(offsets):
             s = signs[0] * r.xi_plus[nodes - off] + signs[1] * r.xi_minus[nodes + off]
             out[j, i] = pref * ((params.a0 * s + 0.5 * params.a0**2 * s * s) @ w)
@@ -93,6 +100,14 @@ class TestParams:
             with pytest.raises(ValueError, match="seed"):
                 default_params(seed=bad)
 
+    def test_repeated_flight_time_refused(self):
+        # every T scores the same draws: a repeat, or a T within the node
+        # tolerance of another, would make their covariance singular
+        for t_list in ((100.0, 100.0, 200.0, 300.0, 400.0),
+                       (100.0, 200.0, 200.0 + 1e-12, 300.0)):
+            with pytest.raises(ValueError, match="t_list repeats a flight time"):
+                default_params(t_list=t_list)
+
 
 def constant_realization(value_plus, value_minus, dt=0.125, k0=24, k_t=8):
     grid = FieldGrid(dt=dt, n_steps=2 * k0 + k_t + 1, t_start=-k0 * dt)
@@ -125,7 +140,7 @@ class TestPhaseAccumulation:
             ref = reference_phases(p, 16.0)
             grid = _mc_grid(p, 16.0)
             for j in range(p.n_samples):
-                r = sample_field(p.model, grid, (p.seed, 0, j))
+                r = sample_field(p.model, grid, (p.seed, j))
                 for i, x in enumerate(positions):
                     assert accumulate_phase(r, x, 16.0, p) == pytest.approx(
                         ref[j, i], rel=1e-10)
@@ -165,21 +180,56 @@ class TestSampling:
     def test_batch_matches_per_sample_synthesis(self):
         # block-batched sampling must agree bit for bit with sampling each
         # realization individually through the public field API, on both
-        # sides of the first block boundary (blocks hold 256 samples)
+        # sides of the block boundaries (blocks hold 128 samples)
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=258)
-        phi_a, phi_b = sample_phases(p, 16.0, t_index=0)
+        phi_a, phi_b = sample_phases(p, 16.0)
         assert phi_a.shape == phi_b.shape == (258,)
         grid = _mc_grid(p, 16.0)
-        for j in (0, 255, 256, 257):
-            r = sample_field(p.model, grid, (p.seed, 0, j))
+        for j in (0, 127, 128, 255, 256, 257):
+            r = sample_field(p.model, grid, (p.seed, j))
             assert accumulate_phase(r, 0.0, 16.0, p) == phi_a[j]
             assert accumulate_phase(r, 1.0, 16.0, p) == phi_b[j]
 
-    def test_t_index_separates_ensembles(self):
-        p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=8)
-        phi_a0, phi_b0 = sample_phases(p, 16.0, t_index=0)
-        phi_a1, phi_b1 = sample_phases(p, 16.0, t_index=1)
-        assert not np.allclose(phi_b0 - phi_a0, phi_b1 - phi_a1)
+    def test_every_t_scores_prefixes_of_one_ensemble(self):
+        # every T scores the prefix of the same (seed, j) draw on the longest
+        # T's grid: records and covariance equal the dense oracle's on those
+        # prefixes, over 130 draws (past the first block boundary) at dx = 1
+        # and on the gate's grid at dx = 5
+        for positions, t_list, n in (((0.0, 1.0), (16.0, 24.0, 32.0), 130),
+                                     ((0.0, 5.0), (56.0, 64.0, 80.0), 100)):
+            p = default_params(positions=positions, t_list=t_list, n_samples=n)
+            est = coherence_mc(p)
+            z = np.array([conditional_coherences(p, t) for t in t_list])
+            for rec, zt in zip(est.records, z):
+                assert rec.mean == pytest.approx(complex(zt.mean()), rel=1e-12)
+                assert rec.stderr == pytest.approx(projected_stderr(zt), rel=1e-12)
+            u = z.mean(axis=1) / abs(z.mean(axis=1))
+            along = z.real * u.real[:, None] + z.imag * u.imag[:, None]
+            np.testing.assert_allclose(est.covariance, np.cov(along) / n,
+                                       rtol=1e-12, atol=0.0)
+            assert np.diag(est.covariance) == pytest.approx(
+                [r.stderr**2 for r in est.records], rel=1e-15)
+
+    def test_sample_phases_share_the_scored_draws(self):
+        # sample_phases reads the draws coherence_mc scores: the longest T's
+        # grid, so a shorter T's phases equal accumulate_phase on that grid
+        p = default_params(positions=(0.0, 1.0), t_list=(16.0, 32.0), n_samples=3)
+        phi_a, phi_b = sample_phases(p, 16.0)
+        for j in range(p.n_samples):
+            r = sample_field(p.model, long_grid(p), (p.seed, j))
+            assert accumulate_phase(r, 0.0, 16.0, p) == phi_a[j]
+            assert accumulate_phase(r, 1.0, 16.0, p) == phi_b[j]
+        with pytest.raises(OutOfRange):
+            sample_phases(p, 40.0)
+
+    def test_records_do_not_depend_on_the_block_size(self, monkeypatch):
+        # the gate's grid, whose edge set puts the projection on BLAS
+        p = default_params(n_samples=300)
+        est = coherence_mc(p)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 100)
+        other = coherence_mc(p)
+        assert other.records == est.records
+        assert np.array_equal(other.covariance, est.covariance)
 
     def test_zero_separation_coherence_is_exactly_one(self):
         p = default_params(positions=(3.0, 3.0), t_list=(100.0,), n_samples=150)
@@ -222,11 +272,11 @@ class TestSampling:
     def test_stderr_is_projected_std_of_sampled_phases(self):
         # the record's stderr is the sample std of the per-draw conditional
         # coherence z_j along the mean direction, over sqrt(n), at each
-        # t_index of the run
+        # T of the run
         p = default_params(positions=(0.0, 1.0), t_list=(16.0, 32.0),
                            n_samples=128)
-        for t_index, rec in enumerate(coherence_mc(p).records):
-            z = conditional_coherences(p, rec.t, t_index)
+        for rec in coherence_mc(p).records:
+            z = conditional_coherences(p, rec.t)
             assert rec.stderr == pytest.approx(projected_stderr(z), rel=1e-12)
 
     def test_coherence_averages_the_four_sign_patterns(self):
@@ -236,7 +286,7 @@ class TestSampling:
         # the same keyed draws the paired difference of the two must vanish
         # within its own sampling noise
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=200)
-        four = np.mean([np.exp(1j * np.diff(reference_phases(p, 16.0, 0, signs),
+        four = np.mean([np.exp(1j * np.diff(reference_phases(p, 16.0, signs),
                                             axis=1)[:, 0])
                         for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))], axis=0)
         d = conditional_coherences(p, 16.0) - four
@@ -354,10 +404,11 @@ def exact_characteristic_function(params: McParams, t: float) -> complex:
     return complex(gaussian_quadratic_expectation(sigma, beta, quad))
 
 
-def conditional_coherences(params: McParams, t: float, t_index: int = 0) -> np.ndarray:
+def conditional_coherences(params: McParams, t: float) -> np.ndarray:
     """Every draw's ``E[exp(i dphi) | m_perp]``, with both integrals done densely.
 
-    xi- of draw j is ``sample_field``'s under the key ``(seed, t_index, j)``.
+    xi- of draw j is the prefix, on T's own grid, of ``sample_field``'s
+    under the key ``(seed, j)`` on the grid of the longest T.
     Given xi-, the phase difference is linear plus diagonal-quadratic in xi+,
     which is integrated out in closed form.  The linear a0 part of the
     phase in xi- is ``s = v.xi-``; with ``u = cov v / (v^T cov v)``, xi- =
@@ -377,8 +428,8 @@ def conditional_coherences(params: McParams, t: float, t_index: int = 0) -> np.n
     u = cov @ v / sigma2 if sigma2 > 0.0 else np.zeros_like(v)
     x, gh = np.polynomial.hermite_e.hermegauss(64)
     gh /= math.sqrt(2.0 * math.pi)
-    xi_m = np.array([sample_field(params.model, grid, (params.seed, t_index, j)).xi_minus
-                     for j in range(params.n_samples)])
+    xi_m = np.array([sample_field(params.model, long_grid(params), (params.seed, j))
+                     .xi_minus[:grid.n_steps] for j in range(params.n_samples)])
     perp = xi_m - np.outer(xi_m @ v, u)
     ms = perp[:, None, :] + math.sqrt(sigma2) * x[:, None] * u      # (draws, nodes, n)
     beta = np.zeros(ms.shape)
@@ -452,6 +503,40 @@ class TestRateFit:
         fit = fit_decoherence_rate(CoherenceEstimate(delta_x=5.0,
                                                      records=tuple(recs)))
         assert fit.rate == pytest.approx(2e-4, rel=1e-2)
+
+    def test_gls_matches_closed_form(self):
+        # correlated estimates: slope, intercept and slope stderr are those of
+        # (X^T V^-1 X)^-1 X^T V^-1 y, V_ij = cov_ij / (|mean_i| |mean_j|)
+        ts = np.array([100.0, 200.0, 300.0, 400.0])
+        y = 0.17 + 2.5e-4 * ts + np.array([3e-4, -2e-4, 5e-4, -1e-4])
+        sd = np.array([1.0, 1.5, 2.0, 3.0]) * 1e-4
+        cov = 0.6 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4))) * np.outer(sd, sd)
+        recs = tuple(CoherenceRecord(t=t, mean=math.exp(-yt) * complex(0.6, 0.8),
+                                     stderr=s, n_samples=1000)
+                     for t, yt, s in zip(ts, y, sd))
+        fit = fit_decoherence_rate(CoherenceEstimate(delta_x=5.0, records=recs,
+                                                     covariance=cov))
+        x = np.column_stack([ts, np.ones(4)])
+        v_inv = np.linalg.inv(cov * np.outer(np.exp(y), np.exp(y)))
+        a = np.linalg.inv(x.T @ v_inv @ x)
+        rate, intercept = a @ x.T @ v_inv @ y
+        assert fit.rate == pytest.approx(rate, rel=1e-9)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-9)
+        assert fit.stderr == pytest.approx(math.sqrt(a[0, 0]), rel=1e-9)
+        # the diagonal covariance is the weighted fit of independent records
+        diag = CoherenceEstimate(delta_x=5.0, records=recs, covariance=np.diag(sd * sd))
+        wls = fit_decoherence_rate(CoherenceEstimate(delta_x=5.0, records=recs))
+        assert astuple(fit_decoherence_rate(diag)) == pytest.approx(astuple(wls), rel=1e-12)
+        assert fit.rate != pytest.approx(wls.rate, rel=1e-3)   # the correlations count
+
+    def test_covariance_not_positive_definite(self):
+        ts = (100.0, 200.0, 300.0, 400.0)
+        est = self.synthetic(2e-4, 0.1, ts, stderr=1e-4)
+        cov = np.eye(4) * 1e-8
+        cov[0, 1] = cov[1, 0] = 2e-8     # a correlation of 2
+        with pytest.raises(FitDegenerate):
+            fit_decoherence_rate(CoherenceEstimate(delta_x=5.0, records=est.records,
+                                                   covariance=cov))
 
     def test_needs_four_times(self):
         est = self.synthetic(1e-4, 0.0, (100.0, 200.0, 300.0))
