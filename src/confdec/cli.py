@@ -126,6 +126,10 @@ SUMMARY_FILE = {"mc": "rate.json", "bound": "report.json"}
 def _convert(value, typ):
     if value is None:
         return None
+    if typ is not str and any(isinstance(v, bool) for v in
+                              (value if isinstance(value, list) else [value])):
+        # Python counts a JSON true or false as the int 1 or 0
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
     if typ == FLIST:
         if isinstance(value, (list, tuple)):
             return [float(v) for v in value]
@@ -169,7 +173,9 @@ def _resolve(args, config: dict, specs) -> dict:
     for name, typ, default, _help in specs:
         value = getattr(args, name, None)
         if value is None:
-            value = config.get(name, default)
+            value = config.get(name)
+        if value is None:      # a JSON null is not given, as manifest.json writes it
+            value = default
         try:
             params[name] = value = _convert(value, typ)
         except TypeError as exc:   # a JSON list or object where a number belongs
@@ -234,6 +240,13 @@ def _correlation_model(params) -> CorrelationModel:
     return model
 
 
+def _lag_rows(estimate):
+    """``(lag, stream, estimate, stderr)`` rows of a correlation estimate, stream by stream."""
+    return [(lag, key, est, err) for key in ("plus", "minus", "cross")
+            for lag, est, err in zip(estimate.lags, estimate.estimates[key],
+                                     estimate.stderrs[key])]
+
+
 def cmd_field(params):
     constants, tlab, _ = UNITS[params["units"]]
     model = _correlation_model(params)
@@ -245,10 +258,12 @@ def cmd_field(params):
     g1 = estimate_g1(realization, max_lag)
     g2 = estimate_g2(realization, max_lag)
     moments = odd_moment_check(realization)
+    lag_header = [f"lag[{tlab}]", "stream", "estimate[1]", "stderr[1]"]
     files = {"realization.csv": lambda p: io.realization_to_csv(realization, p, tlab),
-             "g1.csv": lambda p: io.correlation_to_csv(g1, p, tlab),
-             "g2.csv": lambda p: io.correlation_to_csv(g2, p, tlab),
-             "moments.csv": lambda p: io.moments_to_csv(moments, p)}
+             "g1.csv": lambda p: io.write_csv(p, lag_header, _lag_rows(g1)),
+             "g2.csv": lambda p: io.write_csv(p, lag_header, _lag_rows(g2)),
+             "moments.csv": lambda p: io.write_csv(
+                 p, ["order", "estimate[1]", "stderr[1]"], moments)}
 
     check_lags = [lag for lag in (0.0, model.tau / 2.0, model.tau, 2.0 * model.tau)
                   if lag <= max_lag]
@@ -290,7 +305,11 @@ def cmd_mc(params):
     _check_fit_times(mc.t_list)   # the fit refuses a bad T grid; refuse it before drawing
     gp = grw_params(params["mass"], params["a0"], params["tau"], constants)
     estimate = coherence_mc(mc)
-    files = {"coherence.csv": lambda p: io.coherence_to_csv(estimate, p, xlab, tlab)}
+    files = {"coherence.csv": lambda p: io.write_csv(
+        p, [f"delta_x[{xlab}]", f"T[{tlab}]", "re_mean[1]", "im_mean[1]", "stderr[1]",
+            "n_samples"],
+        [(estimate.delta_x, r.t, r.mean.real, r.mean.imag, r.stderr, r.n_samples)
+         for r in estimate.records])}
 
     predicted = gp.rate(mc.delta_x)
     results = {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,

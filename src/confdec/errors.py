@@ -28,7 +28,8 @@ class InsufficientSamples(ConfdecError, ValueError):
 
 
 class UndersampledSignal(ConfdecError):
-    """Coherence magnitude indistinguishable from noise (|mean| <= 5 stderr)."""
+    """Coherence magnitude indistinguishable from noise (|mean| <= 5 stderr),
+    or Monte Carlo scores that overflow to a value that is not finite."""
 
 
 class FitDegenerate(ConfdecError, ValueError):

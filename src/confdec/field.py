@@ -222,16 +222,17 @@ def _smooth_length(target: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _embedding(model: CorrelationModel, dt: float, n_steps: int):
-    """Circulant length, amplitudes, covariance row and Parseval weights.
+    """Circulant length, amplitudes, covariance row and half-spectrum.
 
     The one owner of the embedding spectrum, memoized on ``(model, dt,
     n_steps)``.  Its ``L`` circulant eigenvalues are clipped at zero, so
     that the synthesized streams have exactly the covariance C they define.
-    Returns ``(L, amp, row, parseval)`` with read-only arrays: ``L`` is the
+    Returns ``(L, amp, row, eig)`` with read-only arrays: ``L`` is the
     (even) embedding length, ``amp`` the ``L//2 + 1`` amplitudes that
-    ``_irfft_normals`` weights the normals by, ``row`` the circulant
-    covariance ``C[k, 0]`` for ``k < L``, and ``parseval`` the ``L//2 + 1``
-    weights with ``h^T C h = sum_j parseval_j |rfft(h, n=L)_j|^2`` for real h.
+    ``_irfft_normals`` weights the normals by, ``row = irfft(eig, n=L)`` the
+    circulant covariance ``C[k, 0]`` for ``k < L``, and ``eig`` the clipped
+    eigenvalues of its first ``L//2 + 1`` frequencies, so that ``C h =
+    irfft(eig * rfft(h, n=L), n=L)`` for real h of length ``L``.
     """
     pad = int(math.ceil(_PAD_CORR_TIMES * model.tau / dt))
     L = _smooth_length(n_steps + pad)
@@ -244,18 +245,16 @@ def _embedding(model: CorrelationModel, dt: float, n_steps: int):
     if eig.min() < -_SPECTRUM_TOL * top:
         raise IndefiniteCovariance(
             f"negative spectral component {eig.min():.3e} for tabulated correlation")
-    eig = np.clip(eig, 0.0, None)
     half = L // 2 + 1
+    eig = np.clip(eig[:half], 0.0, None)
     amp = np.empty(half)
     amp[0] = math.sqrt(eig[0] * L)
     amp[-1] = math.sqrt(eig[L // 2] * L)
     amp[1:-1] = np.sqrt(eig[1:L // 2] * L / 2.0)
-    row = np.fft.irfft(eig[:half], n=L)
-    parseval = np.full(half, 2.0 / L) * eig[:half]
-    parseval[[0, -1]] *= 0.5
-    for arr in (amp, row, parseval):
+    row = np.fft.irfft(eig, n=L)
+    for arr in (amp, row, eig):
         arr.setflags(write=False)
-    return L, amp, row, parseval
+    return L, amp, row, eig
 
 
 def embedding_spectrum(model: CorrelationModel, grid: FieldGrid):

@@ -18,9 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import CorrelationEstimate, FieldRealization, _is_int
+from .field import FieldRealization, _is_int
 from .master import DensityMatrix
-from .montecarlo import CoherenceEstimate
 
 
 def _fmt(v) -> str:
@@ -66,27 +65,6 @@ def _float_csv(path, header, columns):
 def realization_to_csv(realization: FieldRealization, path, time_unit: str = "1"):
     _float_csv(path, [f"t[{time_unit}]", "xi_plus[1]", "xi_minus[1]"],
                (realization.grid.times(), realization.xi_plus, realization.xi_minus))
-
-
-def correlation_to_csv(estimate: CorrelationEstimate, path, time_unit: str = "1"):
-    rows = []
-    for key in ("plus", "minus", "cross"):
-        for lag, est, err in zip(estimate.lags, estimate.estimates[key],
-                                 estimate.stderrs[key]):
-            rows.append((lag, key, est, err))
-    write_csv(path, [f"lag[{time_unit}]", "stream", "estimate[1]", "stderr[1]"], rows)
-
-
-def moments_to_csv(moments, path):
-    write_csv(path, ["order", "estimate[1]", "stderr[1]"], moments)
-
-
-def coherence_to_csv(estimate: CoherenceEstimate, path,
-                     length_unit: str = "1", time_unit: str = "1"):
-    rows = [(estimate.delta_x, r.t, r.mean.real, r.mean.imag, r.stderr, r.n_samples)
-            for r in estimate.records]
-    write_csv(path, [f"delta_x[{length_unit}]", f"T[{time_unit}]",
-                     "re_mean[1]", "im_mean[1]", "stderr[1]", "n_samples"], rows)
 
 
 def density_matrix_to_json(rho: DensityMatrix, path):

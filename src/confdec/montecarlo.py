@@ -35,7 +35,9 @@ error and their covariance across T are reduced with numpy over the full
 ensemble of draws, and ``fit_decoherence_rate`` fits the rate by
 generalized least squares on that covariance.  The scores go through BLAS
 products, whose last bits can depend on their row count and the BLAS
-thread count; ``_BLOCK`` is a constant, so a run reproduces on one host.
+thread count: a draw in the partial last block of a run can differ in its
+last bit from the same draw scored in a full block.  So the records
+reproduce for a fixed ``n_samples``, ``_BLOCK`` and BLAS thread count.
 """
 from __future__ import annotations
 
@@ -54,11 +56,6 @@ from .field import (CorrelationModel, FieldGrid, FieldRealization,
 
 _BLOCK = 128            # samples per synthesis batch: bounds the streams held in memory
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
-# Per-draw projections onto at most this many rows run through einsum on the
-# calling thread.  As BLAS products they are small enough that handing them
-# to BLAS worker threads costs more than it saves, and the cost of waking an
-# idle worker varies from call to call.
-_EINSUM_MAX_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -156,13 +153,12 @@ class CoherenceEstimate:
     ``covariance[i, j]`` is the sample covariance, over the draws and
     divided by their number, of the scores of T_i and T_j, each projected
     on its own record's mean direction; its diagonal is each record's
-    ``stderr**2``.  None stands for independent records, the diagonal
-    alone.
+    ``stderr**2``.
     """
 
     delta_x: float
     records: tuple
-    covariance: np.ndarray | None = None
+    covariance: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -214,11 +210,11 @@ def _windows(grid: FieldGrid, t: float, x: float, c: float) -> tuple:
     return (k_t, *starts)
 
 
-def _potential_sum(s: np.ndarray, a0: float) -> np.ndarray:
-    """Row-wise trapezoid sum of ``a0 s + a0^2 s^2 / 2`` for 2-D ``s``, per unit step."""
-    return (a0 * (s.sum(axis=-1) - 0.5 * (s[:, 0] + s[:, -1]))
-            + 0.5 * a0**2 * (np.einsum("ij,ij->i", s, s)
-                             - 0.5 * (s[:, 0] * s[:, 0] + s[:, -1] * s[:, -1])))
+def _trapezoid(k_t: int) -> np.ndarray:
+    """Trapezoid weights, per unit step, of a window of ``k_t`` steps."""
+    w = np.ones(k_t + 1)
+    w[0] = w[-1] = 0.5
+    return w
 
 
 def _phase_scale(params: McParams, dt: float) -> float:
@@ -237,7 +233,9 @@ def _phase_at(xi_p, xi_m, grid: FieldGrid, t: float, x: float,
     """
     k_t, plus, minus = _windows(grid, t, x, params.constants.c)
     s = xi_p[..., plus:plus + k_t + 1] + xi_m[..., minus:minus + k_t + 1]
-    return _phase_scale(params, grid.dt) * _potential_sum(s, params.a0)
+    # row by row off BLAS, so that a row's sum does not depend on the batch
+    return _phase_scale(params, grid.dt) * np.einsum(
+        "ij,j->i", params.a0 * s + 0.5 * params.a0**2 * s * s, _trapezoid(k_t))
 
 
 def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
@@ -333,8 +331,7 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     signed = [(sign, *_windows(grid, t, x, params.constants.c))
               for sign, x in zip((-1.0, 1.0), params.positions)]
     k_t = signed[0][1]
-    w = np.ones(k_t + 1)
-    w[0] = w[-1] = 0.5
+    w = _trapezoid(k_t)
 
     def carry(m):       # the weighted, signed minus windows of m, moved onto the plus ones
         out = np.zeros_like(m)
@@ -347,7 +344,7 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
         minus_w[minus:minus + k_t + 1] += sign * w
     edge = np.flatnonzero(plus_w)
     d_edge = 0.5 * scale * a0**2 * plus_w[edge]
-    L, _amp, row, parseval = _embedding(params.model, grid.dt, n)
+    L, _amp, row, eig = _embedding(params.model, grid.dt, n)
     c_edge = row[np.abs(edge[:, None] - np.arange(n))]     # C_{E,:}
     m_ee = np.eye(edge.size) - 2.0j * d_edge[:, None] * c_edge[:, edge]
     det_factor = math.exp(-0.5 * np.linalg.slogdet(m_ee).logabsdet)
@@ -363,13 +360,14 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     qu = q * u[edge_m]
     h_0, h_u = scale * a0 * plus_w, scale * a0**2 * carry(u)     # h(0), h(u) - h(0)
     # K(h, h_u) = h.k_u: k_u = C h_u - C_{E,:}^T W g_u, with C h_u by the FFT
-    eig = parseval * (0.5 * L)      # the circulant eigenvalues of rfft(h, n=L)
-    eig[[0, -1]] *= 2.0
     c_h_u = np.fft.irfft(eig * np.fft.rfft(h_u, n=L), n=L)[:n]
     w_g_u = woodbury @ (c_edge @ h_u)
     k_u = c_h_u - w_g_u.real @ c_edge - 1j * (w_g_u.imag @ c_edge)
     project = np.vstack([c_edge, k_u.real, k_u.imag])     # rows: C_{E,:}, Re k_u, Im k_u
-    parseval_ri = np.repeat(parseval, 2)    # on the interleaved (re, im) of rfft(h)
+    # h^T C h = sum_j parseval_j |rfft(h, n=L)_j|^2, on the interleaved (re, im)
+    parseval = np.full(eig.size, 2.0 / L) * eig
+    parseval[[0, -1]] *= 0.5
+    parseval_ri = np.repeat(parseval, 2)
 
     gamma = 1j * (qu @ u[edge_m]) - 0.5 * (h_u @ k_u)
     spread = 1.0 - 2.0 * gamma * sigma2
@@ -380,10 +378,7 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
         h *= scale * a0**2
         h += h_0
         ri = np.fft.rfft(h, n=L, axis=-1).view(np.float64)
-        if project.shape[0] <= _EINSUM_MAX_ROWS:
-            proj = np.einsum("ij,kj->ik", h, project)
-        else:
-            proj = h @ project.T
+        proj = h @ project.T
         g, k_h_u = proj[:, :-2], proj[:, -2] + 1j * proj[:, -1]
         m_edge = m[:, edge_m]
         s = m_edge @ v
@@ -424,12 +419,20 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
             f"n_samples = {params.n_samples} < 100 gives meaningless statistics")
     n = params.n_samples
     grids = [_mc_grid(params, t) for t in params.t_list]
-    scorers = [(grid.n_steps, _conditional_scorer(params, grid, t)[1])
-               for grid, t in zip(grids, params.t_list)]
-    z = np.empty((len(scorers), n), dtype=complex)
-    for block, xi in _keyed_blocks(params, streams=(1,)):
-        for out, (n_steps, score) in zip(z, scorers):
-            out[block] = score(xi[0][:, :n_steps])    # a view: a copy costs time
+    z = np.empty((len(grids), n), dtype=complex)
+    # a phase too large to score overflows; the scores are checked below
+    with np.errstate(all="ignore"):
+        scorers = [(grid.n_steps, _conditional_scorer(params, grid, t)[1])
+                   for grid, t in zip(grids, params.t_list)]
+        for block, xi in _keyed_blocks(params, streams=(1,)):
+            for out, (n_steps, score) in zip(z, scorers):
+                out[block] = score(xi[0][:, :n_steps])    # a view: a copy costs time
+    bad = ~np.isfinite(z).all(axis=1)
+    if bad.any():
+        raise UndersampledSignal(
+            "the conditional coherence scores are not finite at T = "
+            + ", ".join(f"{t:g}" for t in np.asarray(params.t_list)[bad])
+            + f": the phase at mass {params.mass:g} is too large to score")
     mean = z.mean(axis=1)
     along = (z * np.exp(-1j * np.angle(mean))[:, None]).real
     along -= along.mean(axis=1, keepdims=True)
@@ -477,9 +480,7 @@ def fit_decoherence_rate(estimate: CoherenceEstimate) -> RateFit:
     if exact:
         v = np.eye(ts.size)
     else:
-        cov = (np.diag(errs * errs) if estimate.covariance is None
-               else np.asarray(estimate.covariance, dtype=float))
-        v = cov / np.outer(mags, mags)
+        v = np.asarray(estimate.covariance, dtype=float) / np.outer(mags, mags)
     try:
         chol = np.linalg.cholesky(v)
     except np.linalg.LinAlgError:

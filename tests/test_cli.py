@@ -10,7 +10,7 @@ from confdec.cli import main
 from confdec.core import NATURAL, SI
 from confdec.master import (DensityMatrix, GrwParams, evolve_pure_decoherence,
                             grw_params, superposed_gaussians)
-from confdec.montecarlo import CoherenceEstimate, CoherenceRecord, RateFit
+from confdec.montecarlo import McParams, RateFit, coherence_mc
 
 X_GRID = np.linspace(-8.0, 8.0, 41)
 
@@ -128,14 +128,15 @@ class TestIoRoundTrips:
         assert np.array_equal(back, np.asarray(values))
 
     def test_coherence_csv_layout(self, tmp_path):
-        est = CoherenceEstimate(delta_x=5.0, records=(
-            CoherenceRecord(t=100.0, mean=0.5 + 0.1j, stderr=0.01, n_samples=200),))
-        path = tmp_path / "c.csv"
-        io.coherence_to_csv(est, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0].split(",")[2] == "re_mean[1]"
-        assert float(lines[1].split(",")[3]) == 0.1
+        assert main(["mc", "--dx", "1", "--t-list", "16,24,32,40", "--n-samples", "100",
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "coherence.csv").read_text().splitlines()
+        assert lines[0] == "delta_x[c*tau],T[tau],re_mean[1],im_mean[1],stderr[1],n_samples"
+        est = coherence_mc(McParams(a0=0.1, mass=1.0, tau=1.0, positions=(0.0, 1.0),
+                                    t_list=(16.0, 24.0, 32.0, 40.0), n_samples=100,
+                                    seed=3))
+        assert [[float(v) for v in line.split(",")] for line in lines[1:]] == [
+            [1.0, r.t, r.mean.real, r.mean.imag, r.stderr, 100] for r in est.records]
 
 
 class TestParsing:
@@ -205,6 +206,37 @@ class TestParsing:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, name, default", [
+        ("mc", "a0", 0.1),
+        ("mc", "mass", 1.0),
+        ("mc", "units", "natural"),
+        ("bound", "mass_amu", 132.9),
+    ])
+    def test_json_null_takes_the_default(self, tmp_path, command, name, default):
+        # a null is a parameter not given, as manifest.json writes an unset dt
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({name: None}))
+        extra = ["--dx", "1", "--t-list", "16,24,32,40", "--n-samples", "100"]
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv + (extra if command == "mc" else [])) == 0
+        assert io.read_json(tmp_path / "o" / "manifest.json")["params"][name] == default
+
+    @pytest.mark.parametrize("command, params, name", [
+        ("field", {"seed": True}, "seed"),
+        ("field", {"n_steps": False}, "n_steps"),
+        ("field", {"tau": True}, "tau"),
+        ("mc", {"mass": True}, "mass"),
+        ("mc", {"t_list": [100, True, 300, 400]}, "t_list"),
+    ], ids=["int", "int_false", "float", "mc_float", "float_list"])
+    def test_json_boolean_is_not_a_number(self, tmp_path, command, params, name, capsys):
+        # Python counts true as 1, so it would otherwise run as seed 1 or mass 1.0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(params))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{name}: expected a number, got " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNonFiniteInput:
     """NaN and infinity are refused before any work, with exit 2 and no outputs."""
@@ -272,6 +304,20 @@ def test_seed_beyond_64_bits_rejected(tmp_path, command, capsys):
     out = tmp_path / "o"
     assert main([command, "--seed", str(2**64), "--out", str(out)]) == 2
     assert "seed must be a non-negative int below 2**64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mass, bad_t", [("1e17", "100, 300, 400"),
+                                         ("1e18", "100, 200, 300, 400"),
+                                         ("1e20", "100, 200, 300, 400")])
+def test_mass_too_large_to_score_is_numerical_error(tmp_path, mass, bad_t, capsys):
+    # the scores overflow: exit 3, naming each T, with no numpy warning and
+    # no output directory
+    out = tmp_path / "o"
+    assert main(["mc", "--mass", mass, "--n-samples", "100", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"scores are not finite at T = {bad_t}:" in err
+    assert "Warning" not in err
     assert not out.exists()
 
 

@@ -267,6 +267,33 @@ class TestSampling:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    @pytest.mark.parametrize("model", [
+        CorrelationModel.gaussian(TAU),
+        CorrelationModel.tabulated(np.linspace(0.0, 8.0, 65),
+                                   np.exp(-2.0 * np.linspace(0.0, 8.0, 65))),
+    ], ids=["gaussian", "tabulated"])
+    def test_spectrum_hands_over_the_covariance(self, model):
+        # the identities the Monte Carlo scorer relies on: amp and row come
+        # from the clipped half-spectrum eig, C h is one FFT product, and
+        # h^T C h is the Parseval sum of eig over rfft(h)
+        n = 300
+        L, amp, row, eig = _embedding(model, DT, n)
+        half = L // 2 + 1
+        assert eig.shape == amp.shape == (half,) and row.shape == (L,)
+        assert np.all(eig >= 0.0)
+        assert np.array_equal(amp[1:-1], np.sqrt(eig[1:-1] * L / 2.0))
+        assert np.array_equal(amp[[0, -1]], np.sqrt(eig[[0, -1]] * L))
+        assert np.array_equal(row, np.fft.irfft(eig, n=L))
+        cov = row[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+        h = np.random.default_rng(11).standard_normal((4, n))
+        spec = np.fft.rfft(h, n=L)
+        c_h = np.fft.irfft(eig * spec, n=L)[:, :n]
+        np.testing.assert_allclose(c_h, h @ cov, rtol=0.0, atol=1e-12 * np.abs(h @ cov).max())
+        weights = np.full(half, 2.0 / L) * eig
+        weights[[0, -1]] *= 0.5
+        quad = np.einsum("ij,jk,ik->i", h, cov, h)
+        np.testing.assert_allclose((np.abs(spec) ** 2) @ weights, quad, rtol=1e-12)
+
     def test_indefinite_table_rejected(self):
         m = CorrelationModel(kind="tabulated", tau=1.0,
                              table=((0.0, 1.0), (1.0, -0.9), (2.0, 0.8),

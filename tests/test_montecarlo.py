@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -223,7 +222,8 @@ class TestSampling:
             sample_phases(p, 40.0)
 
     def test_records_do_not_depend_on_the_block_size(self, monkeypatch):
-        # the gate's grid, whose edge set puts the projection on BLAS
+        # the gate's grid, where the full blocks of 100 and 128 rows sum the
+        # BLAS projections in the same order
         p = default_params(n_samples=300)
         est = coherence_mc(p)
         monkeypatch.setattr(montecarlo, "_BLOCK", 100)
@@ -325,6 +325,17 @@ class TestSampling:
     def test_insufficient_samples(self):
         p = default_params(n_samples=50)
         with pytest.raises(InsufficientSamples):
+            coherence_mc(p)
+
+    @pytest.mark.parametrize("mass, bad_t", [(1e17, "100, 300, 400"),
+                                             (1e20, "100, 200, 300, 400")])
+    def test_scores_too_large_to_score_refused(self, mass, bad_t):
+        # the phase per step is so large that the scores overflow: a numerical
+        # error naming each T whose scores are not finite, and no RuntimeWarning
+        # (which the test configuration turns into an error)
+        p = default_params(mass=mass, n_samples=100, seed=1234)
+        with pytest.raises(UndersampledSignal,
+                           match=f"scores are not finite at T = {bad_t}:"):
             coherence_mc(p)
 
     def test_records_structure(self):
@@ -475,7 +486,8 @@ class TestRateFit:
             CoherenceRecord(t=t, mean=math.exp(-(intercept + rate * t)),
                             stderr=stderr, n_samples=1000)
             for t in ts)
-        return CoherenceEstimate(delta_x=5.0, records=recs)
+        return CoherenceEstimate(delta_x=5.0, records=recs,
+                                 covariance=np.diag(np.full(len(ts), stderr**2)))
 
     def test_recovers_exact_exponential(self):
         est = self.synthetic(2.5e-4, 0.17, (100.0, 200.0, 300.0, 400.0))
@@ -500,8 +512,9 @@ class TestRateFit:
         recs = list(self.synthetic(2e-4, 0.1, ts).records)
         recs[2] = CoherenceRecord(t=300.0, mean=0.5, stderr=0.09,
                                   n_samples=1000)
-        fit = fit_decoherence_rate(CoherenceEstimate(delta_x=5.0,
-                                                     records=tuple(recs)))
+        stderr = np.array([r.stderr for r in recs])
+        fit = fit_decoherence_rate(CoherenceEstimate(delta_x=5.0, records=tuple(recs),
+                                                     covariance=np.diag(stderr**2)))
         assert fit.rate == pytest.approx(2e-4, rel=1e-2)
 
     def test_gls_matches_closed_form(self):
@@ -524,9 +537,8 @@ class TestRateFit:
         assert fit.intercept == pytest.approx(intercept, rel=1e-9)
         assert fit.stderr == pytest.approx(math.sqrt(a[0, 0]), rel=1e-9)
         # the diagonal covariance is the weighted fit of independent records
-        diag = CoherenceEstimate(delta_x=5.0, records=recs, covariance=np.diag(sd * sd))
-        wls = fit_decoherence_rate(CoherenceEstimate(delta_x=5.0, records=recs))
-        assert astuple(fit_decoherence_rate(diag)) == pytest.approx(astuple(wls), rel=1e-12)
+        wls = fit_decoherence_rate(CoherenceEstimate(delta_x=5.0, records=recs,
+                                                     covariance=np.diag(sd * sd)))
         assert fit.rate != pytest.approx(wls.rate, rel=1e-3)   # the correlations count
 
     def test_covariance_not_positive_definite(self):
@@ -553,4 +565,5 @@ class TestRateFit:
                                      n_samples=1000)
                      for t in (100.0, 200.0, 300.0, 400.0))
         with pytest.raises(UndersampledSignal):
-            fit_decoherence_rate(CoherenceEstimate(delta_x=5.0, records=recs))
+            fit_decoherence_rate(CoherenceEstimate(delta_x=5.0, records=recs,
+                                                   covariance=np.diag(np.full(4, 0.01**2))))
