@@ -218,32 +218,20 @@ def bound_report(experiment: ExperimentParams,
                  lambda_cut: float | None = None,
                  source: CosmoSourceParams | None = None,
                  reference_bound: float | None = None) -> dict:
-    """Assemble the full bound computation as a plain dict.
+    """The full bound computation as ``{"results", "checks"}``, in SI.
 
-    Includes the cutoff bound, intermediate quantities, the predicted loss
-    for an explicit ``lambda_cut`` (default: the bound itself), optionally
-    the cosmological-source loss, and a comparison against an externally
-    published reference bound when one is supplied.
+    The results hold the cutoff bound, intermediate quantities, the
+    predicted loss for an explicit ``lambda_cut`` (default: the bound
+    itself), optionally the cosmological-source loss, and a comparison
+    against an externally published reference bound when one is supplied.
+    Only results and checks are returned: the CLI frames them with the run's
+    inputs and constants, as it does every summary.
     """
     if reference_bound is not None and not 0 < reference_bound < math.inf:
         raise ValueError(f"reference_bound must be positive and finite, "
                          f"got {reference_bound!r}")
     mass_kg = experiment.mass_amu * SI.amu
     bound = lambda_bound(experiment)
-    inputs = {
-        "mass_amu": experiment.mass_amu,
-        "flight_time_s": experiment.flight_time,
-        "contrast_loss": experiment.contrast_loss,
-        "separation_m": experiment.separation,
-    }
-    consts = {
-        "c_m_per_s": SI.c,
-        "hbar_J_s": SI.hbar,
-        "G_m3_per_kg_s2": SI.G,
-        "amu_kg": SI.amu,
-        "t_planck_s": SI.t_planck,
-        "l_planck_m": SI.l_planck,
-    }
     results = {
         "mass_kg": mass_kg,
         "rest_energy_J": mass_kg * SI.c**2,
@@ -279,5 +267,4 @@ def bound_report(experiment: ExperimentParams,
         results["cosmological_loss"] = cosmological_feasibility(source, experiment)
         checks["cosmological_unobservable"] = (
             results["cosmological_loss"] < experiment.contrast_loss * 1e-12)
-    return {"inputs": inputs, "constants": consts,
-            "results": results, "checks": checks}
+    return {"results": results, "checks": checks}

@@ -126,8 +126,11 @@ SUMMARY_FILE = {"mc": "rate.json", "bound": "report.json"}
 def _convert(value, typ):
     if value is None:
         return None
-    if typ is not str and any(isinstance(v, bool) for v in
-                              (value if isinstance(value, list) else [value])):
+    if typ is str:
+        if not isinstance(value, str):   # a JSON number, boolean, list or object
+            raise TypeError(f"expected a string, got {json.dumps(value)}")
+        return value
+    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
         # Python counts a JSON true or false as the int 1 or 0
         raise TypeError(f"expected a number, got {json.dumps(value)}")
     if typ == FLIST:
@@ -178,7 +181,7 @@ def _resolve(args, config: dict, specs) -> dict:
             value = default
         try:
             params[name] = value = _convert(value, typ)
-        except TypeError as exc:   # a JSON list or object where a number belongs
+        except TypeError as exc:   # a JSON value of the wrong type
             raise ValueError(f"{name}: {exc}") from exc
         if typ in (float, FLIST) and value is not None and not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value}")
@@ -187,25 +190,24 @@ def _resolve(args, config: dict, specs) -> dict:
     return params
 
 
-def _summary(params, constants, results, checks) -> dict:
-    return {"inputs": {k: v for k, v in params.items() if k != "out"},
-            "constants": {"c": constants.c, "hbar": constants.hbar,
-                          "G": constants.G, "amu": constants.amu,
-                          "t_planck": constants.t_planck,
-                          "l_planck": constants.l_planck},
-            "results": results, "checks": checks}
-
-
-def _finish(command, params, files, summary, failure) -> int:
-    """Write a computed run's outputs and ``manifest.json``; return the exit code.
+def _finish(command, params, files, results, checks, failure) -> int:
+    """Write a computed run's outputs, summary and manifest; return the exit code.
 
     ``files`` maps each data file's name to a writer that takes its path.
     This is the only place that creates the output directory or writes a
-    file, so a handler that raises leaves nothing behind.  With a
-    ``failure`` message, a false check prints it and exits 3 once every
-    output is written; without one the checks are reported but do not set
-    the exit code.
+    file, so a handler that raises leaves nothing behind, and the only place
+    that frames a summary: ``{inputs, constants, results, checks}``, with the
+    constants of the run's units (SI for ``bound``, which has no ``--units``).
+    With a ``failure`` message, a false check prints it and exits 3 once
+    every output is written; without one the checks are reported but do not
+    set the exit code.
     """
+    inputs = {k: v for k, v in params.items() if k != "out"}
+    constants = UNITS[params.get("units", "si")][0]
+    summary = {"inputs": inputs,
+               "constants": {name: getattr(constants, name) for name in
+                             ("c", "hbar", "G", "amu", "t_planck", "l_planck")},
+               "results": results, "checks": checks}
     out = Path(params["out"])
     out.mkdir(parents=True, exist_ok=True)
     for name, write in files.items():
@@ -213,10 +215,9 @@ def _finish(command, params, files, summary, failure) -> int:
     summary_name = SUMMARY_FILE.get(command, "summary.json")
     io.write_json(out / summary_name, summary)
     io.write_json(out / "manifest.json",
-                  {"command": command, "version": __version__,
-                   "params": {k: v for k, v in params.items() if k != "out"},
+                  {"command": command, "version": __version__, "params": inputs,
                    "outputs": sorted([*files, summary_name])})
-    if failure is not None and not all(summary["checks"].values()):
+    if failure is not None and not all(checks.values()):
         print(f"{command}: {failure}", file=sys.stderr)
         return 3
     return 0
@@ -229,10 +230,8 @@ def _correlation_model(params) -> CorrelationModel:
     Gaussian one tau = 1; the manifest then records the tau that was used.
     """
     if params["g1_table"]:
-        rows = np.loadtxt(params["g1_table"], delimiter=",", ndmin=2)
-        if rows.shape[1] != 2:
-            raise ValueError(f"g1 table rows must be (lag, value) pairs, "
-                             f"got {rows.shape[1]} column(s)")
+        rows = io.read_table(params["g1_table"], ("lag", "value"), "g1 table",
+                             header=False)
         model = CorrelationModel.tabulated(rows[:, 0], rows[:, 1], tau=params["tau"])
     else:
         model = CorrelationModel.gaussian(1.0 if params["tau"] is None else params["tau"])
@@ -248,7 +247,7 @@ def _lag_rows(estimate):
 
 
 def cmd_field(params):
-    constants, tlab, _ = UNITS[params["units"]]
+    tlab = UNITS[params["units"]][1]
     model = _correlation_model(params)
     dt = _grid_step(model, params["dt"])
     max_lag = (params["max_lag"] if params["max_lag"] is not None
@@ -292,8 +291,7 @@ def cmd_field(params):
         "sample_var_plus": float(realization.xi_plus.var()),
         "sample_var_minus": float(realization.xi_minus.var()),
     }
-    return (files, _summary(params, constants, results, checks),
-            "statistical checks failed")
+    return files, results, checks, "statistical checks failed"
 
 
 def cmd_mc(params):
@@ -319,13 +317,13 @@ def cmd_mc(params):
         fit = fit_decoherence_rate(estimate)
     except UndersampledSignal as exc:
         checks["signal_above_noise"] = False
-        return files, _summary(params, constants, results, checks), str(exc)
+        return files, results, checks, str(exc)
     results.update(rate=fit.rate, rate_stderr=fit.stderr, intercept=fit.intercept,
                    ratio_to_predicted=(fit.rate / predicted if predicted > 0 else None))
     if predicted > 0:
         checks["rate_within_3_stderr"] = bool(
             abs(fit.rate - predicted) <= 3.0 * max(fit.stderr, 1e-300))
-    return (files, _summary(params, constants, results, checks),
+    return (files, results, checks,
             "fitted rate is more than 3 stderr from the prediction")
 
 
@@ -364,8 +362,7 @@ def cmd_kernel(params):
 
     results = {"lambda_grw": gp.lambda_grw, "alpha": gp.alpha,
                "correlation_kind": model.kind}
-    return (files, _summary(params, constants, results, checks),
-            "closed-form agreement checks failed")
+    return files, results, checks, "closed-form agreement checks failed"
 
 
 def cmd_evolve(params):
@@ -406,8 +403,7 @@ def cmd_evolve(params):
                "t_total": t_total, "trace_in": rho.trace(),
                "trace_out": evolved.trace(), "min_eigenvalue": min_eig}
     files = {"evolved.json": lambda p: io.density_matrix_to_json(evolved, p)}
-    return (files, _summary(params, constants, results, checks),
-            "invariant checks failed")
+    return files, results, checks, "invariant checks failed"
 
 
 def cmd_bound(params):
@@ -430,13 +426,12 @@ def cmd_bound(params):
         files["sweep.csv"] = lambda p: io.write_csv(
             p, ["mass[amu]", "flight_time[s]", "contrast_loss[1]", "lambda_bound[1]"],
             rows)
-    # the report keeps bound_report's own SI-labelled constants, and its
-    # checks are informational: the exit code is 0 whatever they say
-    return files, report, None
+    # the checks are informational: the exit code is 0 whatever they say
+    return files, report["results"], report["checks"], None
 
 
 # command -> (parameter specs, handler, help); a handler computes the whole
-# run and returns (files, summary, failure) for _finish to write
+# run and returns (files, results, checks, failure) for _finish to write
 COMMANDS = {
     "field": (FIELD_SPECS, cmd_field, "sample a field and check its statistics"),
     "mc": (MC_SPECS, cmd_mc, "Monte Carlo coherence decay and rate fit"),

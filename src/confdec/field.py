@@ -49,6 +49,8 @@ class CorrelationModel:
             raise ValueError(f"unknown correlation kind {self.kind!r}")
         if not 0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
+        if self.kind == "gaussian" and self.table is not None:
+            raise ValueError("a gaussian model takes no table")
         if self.kind == "tabulated":
             if self.table is None or len(self.table) < 2:
                 raise ValueError("tabulated model needs at least two (lag, value) pairs")
@@ -207,17 +209,19 @@ def _smooth_length(target: int) -> int:
 
     These 5-smooth lengths are the ones numpy's pocketfft transforms fastest
     as real FFTs; the same rule as ``scipy.fft.next_fast_len(target,
-    real=True)``.
+    real=True)``.  The candidates ``2**a * 3**b * 5**c`` are enumerated
+    directly, so a target near 10**12 takes a few hundred steps.
     """
-    n = max(target, 1)
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
+    target = max(target, 1)
+    n = 2 ** (target - 1).bit_length()      # the smallest power of two >= target
+    p5 = 1
+    while p5 < n:
+        p35 = p5
+        while p35 < n:   # each 3**b * 5**c below n, times the least 2**a reaching target
+            n = min(n, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return n
 
 
 @functools.lru_cache(maxsize=64)

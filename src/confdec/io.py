@@ -1,12 +1,11 @@
-"""CSV/JSON serialization with deterministic formatting.
+"""Every file confdec reads or writes: CSV tables, JSON summaries, density matrices.
 
 CSV floats are written with 17 significant digits and JSON floats as
 ``json.dump`` writes them (their shortest round-tripping ``repr``), so both
 read back as the same doubles and re-running a manifest reproduces outputs
 byte-identically; JSON objects are written with sorted keys for the same
-reason.  The large float tables (density matrices, field realizations) are
-formatted in one ``%``-template pass that writes the same bytes as the
-``csv``/``json`` route of the small tables.
+reason.  Tables are formatted in one ``%``-template pass; the density-matrix
+JSON writes the same bytes as the ``json`` route.
 """
 from __future__ import annotations
 
@@ -22,19 +21,41 @@ from .field import FieldRealization, _is_int
 from .master import DensityMatrix
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
-
-
 def write_csv(path, header, rows):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    """Write ``header`` and then ``rows``, a sequence of row tuples or a 2-d array.
+
+    The header goes through ``csv``, so a label such as ``t[s, shifted]``
+    stays quoted.  The rows go through one ``%``-template pass: a column
+    takes ``%.17g`` when its first cell is a float and ``%s`` otherwise, so
+    cells are never quoted.
+    """
+    if isinstance(rows, np.ndarray):
+        cells, first = rows.ravel().tolist(), rows[:1].ravel().tolist()
+    else:
+        rows = list(rows)
+        cells, first = [v for row in rows for v in row], rows[0] if rows else ()
+    row = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\r\n"
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write(row * len(rows) % tuple(cells))
+
+
+def read_table(path, columns, what: str, header: bool) -> np.ndarray:
+    """The ``(rows, len(columns))`` floats of a CSV table, after a header if ``header``.
+
+    A file with no data rows, or with rows of another width, is refused with
+    a ``ValueError`` that names ``what`` and the file; numpy's warning about
+    an empty file is not let through.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: refused below
+        data = np.loadtxt(path, delimiter=",", skiprows=int(header), ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError(f"{what} {path} has no data rows")
+    if data.shape[1] != len(columns):
+        raise ValueError(f"{what} rows must have {len(columns)} columns "
+                         f"({', '.join(columns)}), got {data.shape[1]}")
+    return data
 
 
 def write_json(path, obj):
@@ -55,16 +76,10 @@ def _float_rows(row, sep, columns) -> str:
     return sep.join([row] * len(table)) % tuple(table.ravel().tolist())
 
 
-def _float_csv(path, header, columns):
-    """The bytes ``write_csv`` writes for all-float columns."""
-    with Path(path).open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.write(_float_rows(",".join(["%.17g"] * len(columns)) + "\r\n", "", columns))
-
-
 def realization_to_csv(realization: FieldRealization, path, time_unit: str = "1"):
-    _float_csv(path, [f"t[{time_unit}]", "xi_plus[1]", "xi_minus[1]"],
-               (realization.grid.times(), realization.xi_plus, realization.xi_minus))
+    write_csv(path, [f"t[{time_unit}]", "xi_plus[1]", "xi_minus[1]"],
+              np.column_stack((realization.grid.times(), realization.xi_plus,
+                               realization.xi_minus)))
 
 
 def density_matrix_to_json(rho: DensityMatrix, path):
@@ -106,18 +121,12 @@ def density_matrix_from_json(path) -> DensityMatrix:
 def density_matrix_to_csv(rho: DensityMatrix, path):
     xi, xj = np.meshgrid(rho.x_grid, rho.x_grid, indexing="ij")
     flat = rho.entries.reshape(-1)
-    _float_csv(path, ["x_i[1]", "x_j[1]", "re[1]", "im[1]"],
-               (xi.reshape(-1), xj.reshape(-1), flat.real, flat.imag))
+    write_csv(path, ["x_i[1]", "x_j[1]", "re[1]", "im[1]"],
+              np.column_stack((xi.reshape(-1), xj.reshape(-1), flat.real, flat.imag)))
 
 
 def density_matrix_from_csv(path) -> DensityMatrix:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # no data rows: rejected below
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] == 0:
-        raise ValueError("matrix CSV has no data rows")
-    if data.shape[1] != 4:
-        raise ValueError("matrix CSV rows must have 4 columns: x_i, x_j, re, im")
+    data = read_table(path, ("x_i", "x_j", "re", "im"), "matrix CSV", header=True)
     xs = np.unique(data[:, 0])
     n = xs.size
     i, j = np.searchsorted(xs, data[:, 0]), np.searchsorted(xs, data[:, 1])

@@ -198,7 +198,7 @@ class TestExperimentValidation:
 class TestBoundReport:
     def test_structure_and_checks(self):
         rep = bound_report(CS, source=CosmoSourceParams(), reference_bound=18.0)
-        assert set(rep) == {"inputs", "constants", "results", "checks"}
+        assert set(rep) == {"results", "checks"}
         res = rep["results"]
         assert res["lambda_bound"] == pytest.approx(30.6645532593, rel=1e-10)
         assert res["bound_over_reference"] == pytest.approx(30.6645532593 / 18.0,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,54 @@ class TestParsing:
         assert f"{name}: expected a number, got " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, params, message", [
+        ("bound", {"out": True}, "out: expected a string, got true"),
+        ("kernel", {"g1_table": 5}, "g1_table: expected a string, got 5"),
+        ("evolve", {"input": ["rho.json"]}, 'input: expected a string, got ["rho.json"]'),
+    ], ids=["bool_out", "int_table", "list_input"])
+    def test_json_value_is_not_a_string(self, tmp_path, monkeypatch, command, params,
+                                             message, capsys):
+        # str() would otherwise turn true into an output directory named True
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(params))
+        argv = [command, "--config", str(cfg)]
+        if "out" not in params:
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+# (argv, summary file, constants) of one small run of each command
+SUMMARY_RUNS = {
+    "field": (["field"], "summary.json", NATURAL),
+    "field_si": (["field", "--units", "si"], "summary.json", SI),
+    "mc": (["mc", "--dx", "1", "--t-list", "16,24,32,40", "--n-samples", "100"],
+           "rate.json", NATURAL),
+    "kernel": (["kernel", "--dx-list", "0,1", "--compare-t", "100"], "summary.json",
+               NATURAL),
+    "evolve": (["evolve", "--input", "rho.json"], "summary.json", NATURAL),
+    "bound": (["bound"], "report.json", SI),
+}
+
+
+@pytest.mark.parametrize("argv, name, constants", list(SUMMARY_RUNS.values()),
+                         ids=list(SUMMARY_RUNS))
+def test_every_summary_has_one_frame(tmp_path, monkeypatch, argv, name, constants):
+    # the CLI frames every summary, report.json included, with the run's units
+    monkeypatch.chdir(tmp_path)
+    io.density_matrix_to_json(superposed_gaussians(X_GRID, sigma=1.0, separation=4.0),
+                              tmp_path / "rho.json")
+    assert main(argv + ["--out", "o"]) == 0
+    summary = io.read_json(tmp_path / "o" / name)
+    assert set(summary) == {"inputs", "constants", "results", "checks"}
+    assert summary["inputs"] == io.read_json(tmp_path / "o" / "manifest.json")["params"]
+    assert summary["constants"] == {
+        "c": constants.c, "hbar": constants.hbar, "G": constants.G,
+        "amu": constants.amu, "t_planck": constants.t_planck,
+        "l_planck": constants.l_planck}
+
 
 class TestNonFiniteInput:
     """NaN and infinity are refused before any work, with exit 2 and no outputs."""
@@ -384,6 +433,18 @@ class TestFieldCommand:
         rc = main([command, "--g1-table", str(table), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "(lag, value)" in capsys.readouterr().err
+
+    def test_empty_table_rejected_without_warning(self, tmp_path, capsys):
+        table = tmp_path / "g1.csv"
+        table.write_text("")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["field", "--g1-table", str(table), "--out", str(out)])
+        assert rc == 2
+        assert f"g1 table {table} has no data rows" in capsys.readouterr().err
+        assert caught == []   # numpy's warning about an empty file is not let through
+        assert not out.exists()
 
     def test_indefinite_table_rejected(self, tmp_path, capsys):
         table = tmp_path / "g1.csv"

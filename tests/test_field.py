@@ -144,11 +144,13 @@ class TestGrid:
             FieldGrid(dt=0.1, n_steps=1)
 
     def test_embedding_length_is_scipy_next_fast_len(self):
-        # every target up to 20000, which covers the MC grids, and the 2048
-        # above each of the two longest sampled grids, 2**15 and 2**18 steps
+        # every target up to 20000, which covers the MC grids, the 2048
+        # above each of the two longest sampled grids, 2**15 and 2**18 steps,
+        # and two targets far from the next 5-smooth length, that of
+        # --dt 1e-11 among them: 5.3e9 below 805306368000
         from scipy.fft import next_fast_len
         targets = [*range(1, 20001), *range(2**15, 2**15 + 2048),
-                   *range(2**18, 2**18 + 2048)]
+                   *range(2**18, 2**18 + 2048), 10**12 + 1, 8 * 10**11 + 32768]
         assert [_smooth_length(t) for t in targets] == [next_fast_len(t, real=True)
                                                         for t in targets]
 

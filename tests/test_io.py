@@ -29,8 +29,18 @@ def csv_route(header, rows) -> bytes:
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
-        writer.writerow([format(float(v), ".17g") for v in row])
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
     return buf.getvalue().encode()
+
+
+def test_mixed_table_is_csv_writer(tmp_path):
+    # a str, an int and a float column, as in g1.csv and coherence.csv
+    floats = [-0.0, 5e-324, float("inf"), float("nan"), 1.0 / 3.0]
+    rows = [(name, k, v) for k, (name, v) in enumerate(zip(
+        ["plus", "minus", "cross", "plus", "minus"], floats))]
+    path = tmp_path / "mixed.csv"
+    io.write_csv(path, ["stream", "n[1]", "t[s, shifted]"], rows)
+    assert path.read_bytes() == csv_route(["stream", "n[1]", "t[s, shifted]"], rows)
 
 
 def test_density_matrix_json_is_json_dump(tmp_path):

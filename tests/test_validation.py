@@ -143,6 +143,10 @@ REFUSALS = {
         "t_final must be at least one step"),
     "CorrelationModel.unknown_kind": (
         lambda tmp: CorrelationModel(kind="lorentzian"), "unknown correlation kind"),
+    "CorrelationModel.gaussian_with_table": (
+        lambda tmp: CorrelationModel(kind="gaussian", tau=1.0,
+                                     table=((0.0, 1.0), (1.0, 0.0))),
+        "takes no table"),
     "CorrelationModel.one_pair": (
         lambda tmp: CorrelationModel(kind="tabulated", table=((0.0, 1.0),)),
         "at least two"),
