@@ -10,7 +10,9 @@ key ``(7, 1)`` and the phases of 300 ``sample_phases`` draws, both streams,
 under the Monte Carlo keys ``(seed, j)``, so that a change to the key layout
 shows.  Two checkouts that print the same lines produce the same bytes; diff
 the output of the two to check that a change leaves results unchanged.  Runs
-in a temporary directory and takes a few seconds.
+in a temporary directory and takes a few seconds.  Standard error names the
+Monte Carlo scoring threads and whether BLAS ran on one thread in each, which
+can explain a digest that differs between hosts.
 """
 import contextlib
 import hashlib
@@ -28,7 +30,8 @@ from confdec import io as cio
 from confdec.cli import main as cli_main
 from confdec.field import CorrelationModel, FieldGrid, sample_field
 from confdec.master import superposed_gaussians
-from confdec.montecarlo import McParams, coherence_mc, sample_phases
+from confdec.montecarlo import (McParams, _blas_thread_setter, _scoring_threads,
+                                coherence_mc, sample_phases)
 
 # (name, argv); input paths are relative to the working directory so that
 # every manifest, and so every digest, is the same wherever the script runs
@@ -116,6 +119,9 @@ def draw_lines():
 
 
 def main():
+    pinned = "yes" if _blas_thread_setter() else "no"
+    print(f"Monte Carlo scoring threads: {_scoring_threads()}; "
+          f"BLAS pinned to one thread in each: {pinned}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         write_inputs()

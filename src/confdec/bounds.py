@@ -188,16 +188,29 @@ def lambda_bound(experiment: ExperimentParams,
         lambda_cut >= (sqrt(pi/2) M^2 c^4 t_p T / (hbar^2 delta)) ** (1/7).
 
     Inverse of ``predicted_contrast_loss`` over the saturated-kernel regime:
-    feeding a predicted loss back in recovers the cutoff exactly.
+    feeding a predicted loss back in recovers the cutoff exactly.  A
+    separation at which the kernel at the bound is not saturated in double
+    precision, ``rate(dx) < lambda_grw``, is refused with ``ValueError``:
+    there the saturated loss overstates the loss, and the bound would not
+    invert it.
     """
+    mass = experiment.mass_amu * constants.amu
     try:
-        gp = grw_params(experiment.mass_amu * constants.amu, 1.0, constants.t_planck,
-                        constants)
+        gp = grw_params(mass, 1.0, constants.t_planck, constants)
     except ValueError:
         raise ValueError(f"mass_amu = {experiment.mass_amu!r} gives a lambda_grw that "
                          "is not a finite float") from None
-    return (gp.lambda_grw * experiment.flight_time
-            / experiment.contrast_loss) ** (1.0 / 7.0)
+    bound = (gp.lambda_grw * experiment.flight_time
+             / experiment.contrast_loss) ** (1.0 / 7.0)
+    if experiment.separation is not None:
+        tau = bound * constants.t_planck
+        at_bound = grw_params(mass, bound**-2.0, tau, constants)
+        if at_bound.rate(experiment.separation) < at_bound.lambda_grw:
+            raise ValueError(
+                f"separation = {experiment.separation!r} m does not saturate the kernel "
+                f"at the bound {bound:.6g}, where c tau = {constants.c * tau:.6g} m: "
+                "the bound inverts the saturated loss")
+    return bound
 
 
 def cosmological_feasibility(source: CosmoSourceParams,

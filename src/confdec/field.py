@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +24,7 @@ from .errors import IndefiniteCovariance, ResolutionError
 
 _SPECTRUM_TOL = 1e-8     # relative tolerance for negative circulant eigenvalues
 _PAD_CORR_TIMES = 8.0    # pad length in units of tau
+_EMBEDDING_BYTES = 56    # peak bytes per point while _embedding builds a Gaussian spectrum
 
 
 @dataclass(frozen=True)
@@ -236,12 +238,22 @@ def _embedding(model: CorrelationModel, dt: float, n_steps: int):
     ``_irfft_normals`` weights the normals by, ``row = irfft(eig, n=L)`` the
     circulant covariance ``C[k, 0]`` for ``k < L``, and ``eig`` the clipped
     eigenvalues of its first ``L//2 + 1`` frequencies, so that ``C h =
-    irfft(eig * rfft(h, n=L), n=L)`` for real h of length ``L``.
+    irfft(eig * rfft(h, n=L), n=L)`` for real h of length ``L``.  An ``L``
+    whose arrays would not fit in physical memory is refused with
+    ``ValueError`` before anything is allocated.
     """
     pad = int(math.ceil(_PAD_CORR_TIMES * model.tau / dt))
     L = _smooth_length(n_steps + pad)
     while L % 2:
         L = _smooth_length(L + 1)
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):     # no sysconf: nothing to check against
+        memory = math.inf
+    if L * _EMBEDDING_BYTES > memory:
+        raise ValueError(f"dt = {dt!r} and n_steps = {n_steps} need an embedding of {L} "
+                         f"points, about {L * _EMBEDDING_BYTES / 2**30:.3g} GiB, more than "
+                         f"the {memory / 2**30:.3g} GiB of physical memory")
     k = np.arange(L)
     circ_lag = np.minimum(k, L - k) * dt
     eig = np.fft.fft(model.g1(circ_lag)).real
@@ -310,8 +322,9 @@ def _draw_streams(entropies, L: int, amp: np.ndarray, n_steps: int,
     own, whatever the batch or the other streams it is drawn with.  The
     key and counter words of the batch are tabled once and set, in turn,
     on one reused generator; ``standard_normal`` keeps no state of its own,
-    so that equals a fresh generator per stream.  The result is a view of
-    the full-length ``(s, b, L)`` synthesis.
+    so that equals a fresh generator per stream.  That generator is built
+    per call, so that calls on concurrent threads share no generator state.
+    The result is a view of the full-length ``(s, b, L)`` synthesis.
     """
     words = np.zeros((len(streams), len(entropies), 6), dtype=np.uint64)
     words[..., [0, 1, 3]] = np.array([e + (0,) * (3 - len(e)) for e in entropies],

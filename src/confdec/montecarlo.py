@@ -33,17 +33,29 @@ the same key and grid; ``coherence_mc`` reads stream 1 of the same keys,
 the minus stream of ``sample_field``.  Each T's coherence, its standard
 error and their covariance across T are reduced with numpy over the full
 ensemble of draws, and ``fit_decoherence_rate`` fits the rate by
-generalized least squares on that covariance.  The scores go through BLAS
-products, whose last bits can depend on their row count and the BLAS
-thread count: a draw in the partial last block of a run can differ in its
-last bit from the same draw scored in a full block.  So the records
-reproduce for a fixed ``n_samples``, ``_BLOCK`` and BLAS thread count.
+generalized least squares on that covariance.
+
+The blocks of draws are scored on every usable core, each thread taking
+the next block and writing its own rows of the scores, with BLAS on one
+thread in each.  The scores go through BLAS products, whose last bits can
+depend on their row count and the BLAS thread count: a draw in the partial
+last block of a run can differ in its last bit from the same draw scored
+in a full block.  So the records reproduce for a fixed ``n_samples`` and
+``_BLOCK``, whatever the core or BLAS thread count, where numpy's BLAS is
+an OpenBLAS with ``openblas_set_num_threads_local``.  With any other BLAS
+the blocks are scored on the calling thread alone, with BLAS as it is, and
+the records reproduce for a fixed BLAS thread count too.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import numpy as np
 
@@ -54,7 +66,7 @@ from .field import (CorrelationModel, FieldGrid, FieldRealization,
                     _draw_streams, _embedding, _grid_step, _is_int, _seed_entropy,
                     embedding_spectrum)
 
-_BLOCK = 128            # samples per synthesis batch: bounds the streams held in memory
+_BLOCK = 48             # samples per synthesis batch: bounds the streams each thread holds
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
 
 
@@ -253,18 +265,124 @@ def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
 
 
 def _keyed_blocks(params: McParams, streams=(0, 1)):
-    """``(slice, xi)`` per batch of the draws keyed ``(seed, j)``.
+    """``(starts, draw)``: the batches of the draws keyed ``(seed, j)``.
 
-    ``xi`` holds the given streams of the batch, ``(len(streams), b, n)``, on
-    the grid of the longest T, ``_mc_grid(params, max(params.t_list))``.
+    ``starts`` holds the first index of each batch of ``_BLOCK`` draws, and
+    ``draw(start)`` gives ``(slice, xi)`` for that batch: ``xi`` holds its
+    given streams, ``(len(streams), b, n)``, on the grid of the longest T,
+    ``_mc_grid(params, max(params.t_list))``.  ``draw`` keeps no state, so
+    batches may be drawn in any order, on any thread.
     """
     grid = _mc_grid(params, max(params.t_list))
     L, amp = embedding_spectrum(params.model, grid)
-    for start in range(0, params.n_samples, _BLOCK):
+
+    def draw(start):
         stop = min(start + _BLOCK, params.n_samples)
-        yield slice(start, stop), _draw_streams(
+        return slice(start, stop), _draw_streams(
             [(params.seed, j) for j in range(start, stop)],
             L, amp, grid.n_steps, streams)
+
+    return range(0, params.n_samples, _BLOCK), draw
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scoring_threads() -> int:
+    """Threads ``_on_every_core`` runs on: a usable core each where BLAS can be pinned."""
+    return _usable_cores() if _blas_thread_setter() else 1
+
+
+@functools.cache
+def _blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` as bundled with numpy, or None.
+
+    It sets the BLAS thread count and returns the count it replaces.  In
+    the pthreads OpenBLAS of numpy's wheels that count is the one of the
+    whole process, whatever the name says.  Looked up on first use, so that
+    importing the module loads no library.
+    """
+    libs = Path(np.__file__).parent
+    for path in sorted((*libs.parent.glob("numpy.libs/*openblas*"),
+                        *libs.glob(".dylibs/*openblas*"))):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+class _OneBlasThread:
+    """``with _one_blas_thread:`` runs BLAS on one thread in the block.
+
+    The count is the whole process's, so the blocks of every thread share
+    one pin: the first to enter sets the count to 1, and the last to leave
+    restores the count the first found, however the blocks of several
+    threads overlap.  Where numpy's BLAS has no setter, BLAS stays as it is.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._set_threads = self._previous = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0:
+                self._set_threads = _blas_thread_setter()
+                self._previous = self._set_threads(1) if self._set_threads else None
+            self._holders += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._set_threads:
+                self._set_threads(self._previous)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _on_every_core(func, items) -> None:
+    """``func(item)`` for every item, on the caller and a helper per further usable core.
+
+    Call it inside ``with _one_blas_thread``, so that every thread runs BLAS
+    on one thread and a BLAS product sums in the same order whichever
+    thread runs it and however many run.  Each thread takes the next item
+    from one shared iterator.  Where numpy's BLAS has no setter, the caller
+    runs every item alone.  The first exception raised by any call stops
+    the others at their next item and is raised once every helper has
+    stopped, so no thread outlives the call.
+    """
+    todo, errors = iter(items), []
+
+    def run():
+        try:
+            for item in todo:
+                if errors:
+                    return
+                func(item)
+        except BaseException as exc:      # raised again by the caller below
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run)
+               for _ in range(min(_scoring_threads(), len(items)) - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        run()
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
 
 
 def sample_phases(params: McParams, t: float):
@@ -276,7 +394,8 @@ def sample_phases(params: McParams, t: float):
     """
     grid = _mc_grid(params, max(params.t_list))
     phases = np.empty((2, params.n_samples))
-    for block, xi in _keyed_blocks(params):
+    starts, draw = _keyed_blocks(params)
+    for block, xi in map(draw, starts):
         for out, x in zip(phases, params.positions):
             out[block] = _phase_at(xi[0], xi[1], grid, t, x, params)
     return phases[0], phases[1]
@@ -420,23 +539,32 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
     n = params.n_samples
     grids = [_mc_grid(params, t) for t in params.t_list]
     z = np.empty((len(grids), n), dtype=complex)
-    # a phase too large to score overflows; the scores are checked below
-    with np.errstate(all="ignore"):
-        scorers = [(grid.n_steps, _conditional_scorer(params, grid, t)[1])
-                   for grid, t in zip(grids, params.t_list)]
-        for block, xi in _keyed_blocks(params, streams=(1,)):
+    starts, draw = _keyed_blocks(params, streams=(1,))
+
+    def score_block(start):
+        block, xi = draw(start)
+        # a phase too large to score overflows; the scores are checked below
+        with np.errstate(all="ignore"):     # the error state is per thread
             for out, (n_steps, score) in zip(z, scorers):
                 out[block] = score(xi[0][:, :n_steps])    # a view: a copy costs time
-    bad = ~np.isfinite(z).all(axis=1)
-    if bad.any():
-        raise UndersampledSignal(
-            "the conditional coherence scores are not finite at T = "
-            + ", ".join(f"{t:g}" for t in np.asarray(params.t_list)[bad])
-            + f": the phase at mass {params.mass:g} is too large to score")
-    mean = z.mean(axis=1)
-    along = (z * np.exp(-1j * np.angle(mean))[:, None]).real
-    along -= along.mean(axis=1, keepdims=True)
-    covariance = (along @ along.T) / ((n - 1) * n)
+
+    # one BLAS thread throughout: a BLAS call on more threads leaves them
+    # spinning for a while, against the scoring threads
+    with _one_blas_thread:
+        with np.errstate(all="ignore"):
+            scorers = [(grid.n_steps, _conditional_scorer(params, grid, t)[1])
+                       for grid, t in zip(grids, params.t_list)]
+        _on_every_core(score_block, starts)
+        bad = ~np.isfinite(z).all(axis=1)
+        if bad.any():
+            raise UndersampledSignal(
+                "the conditional coherence scores are not finite at T = "
+                + ", ".join(f"{t:g}" for t in np.asarray(params.t_list)[bad])
+                + f": the phase at mass {params.mass:g} is too large to score")
+        mean = z.mean(axis=1)
+        along = (z * np.exp(-1j * np.angle(mean))[:, None]).real
+        along -= along.mean(axis=1, keepdims=True)
+        covariance = (along @ along.T) / ((n - 1) * n)
     stderr = np.sqrt(np.diag(covariance))
     records = tuple(CoherenceRecord(t=t, mean=complex(m), stderr=float(e), n_samples=n)
                     for t, m, e in zip(params.t_list, mean, stderr))

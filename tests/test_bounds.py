@@ -100,6 +100,20 @@ class TestLambdaBound:
         assert predicted_contrast_loss(CS, model) == pytest.approx(
             CS.contrast_loss, rel=1e-12)
 
+    def test_loss_round_trip_exact_at_a_separation(self):
+        # a separation far beyond c tau saturates the kernel: the same bound
+        exp = ExperimentParams(132.9, 0.32, 0.03, separation=1e-6)
+        assert lambda_bound(exp) == lambda_bound(CS)
+        model = build_cutoff_model(lambda_bound(exp))
+        assert predicted_contrast_loss(exp, model) == pytest.approx(0.03, rel=1e-12)
+
+    def test_unsaturated_separation_refused(self):
+        # at 1e-34 m, inside c tau = 4.956e-34 m at the bound, the loss at the
+        # bound would be 0.00235, not 0.03
+        with pytest.raises(ValueError, match=r"separation = 1e-34 m does not saturate "
+                                             r"the kernel .* c tau = 4\.95617e-34 m"):
+            lambda_bound(ExperimentParams(132.9, 0.32, 0.03, 1e-34))
+
     @settings(max_examples=80)
     @given(st.floats(min_value=1.0, max_value=1e5),
            st.floats(min_value=1e-3, max_value=1e2),

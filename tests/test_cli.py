@@ -334,8 +334,10 @@ class TestNonFiniteInput:
      "validity needs T >= 10 max(tau, delta_x / c)"),
     (["bound", "--reference-bound", "0"], "reference_bound must be positive and finite"),
     (["bound", "--reference-bound", "-18"], "reference_bound must be positive and finite"),
+    (["bound", "--separation", "1e-34"], "separation = 1e-34 m does not saturate"),
 ], ids=["bound_mass", "mc_mass", "kernel_a0", "kernel_tau", "evolve_tau",
-        "kernel_dx", "bound_reference_zero", "bound_reference_negative"])
+        "kernel_dx", "bound_reference_zero", "bound_reference_negative",
+        "bound_separation"])
 def test_run_refused_after_work_writes_nothing(tmp_path, argv, message, capsys):
     # each is refused once part of its work is done: exit 2 and no outputs
     io.density_matrix_to_json(superposed_gaussians(X_GRID, sigma=1.0, separation=4.0),

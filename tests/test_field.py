@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ class TestGrid:
                    *range(2**18, 2**18 + 2048), 10**12 + 1, 8 * 10**11 + 32768]
         assert [_smooth_length(t) for t in targets] == [next_fast_len(t, real=True)
                                                         for t in targets]
+
+    @pytest.mark.parametrize("dt, n_steps", [
+        (1e-11, 32768),     # `confdec field --dt 1e-11`: L = 805306368000
+        (DT, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8),
+    ], ids=["dt_1e-11", "physical_memory_in_points"])
+    def test_embedding_beyond_physical_memory_refused(self, dt, n_steps):
+        # refused from its length alone, before any array is allocated
+        with pytest.raises(ValueError, match=f"dt = {dt!r} and n_steps = {n_steps} "
+                                             "need an embedding of .* physical memory"):
+            _embedding(CorrelationModel.gaussian(TAU), dt, n_steps)
 
 
 class TestSampling:

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import confdec
 from confdec import montecarlo
 from confdec.core import NATURAL
 from confdec.errors import (FitDegenerate, InsufficientSamples, OutOfRange,
@@ -179,12 +185,12 @@ class TestSampling:
     def test_batch_matches_per_sample_synthesis(self):
         # block-batched sampling must agree bit for bit with sampling each
         # realization individually through the public field API, on both
-        # sides of the block boundaries (blocks hold 128 samples)
+        # sides of block boundaries (blocks hold 48 samples)
         p = default_params(positions=(0.0, 1.0), t_list=(16.0,), n_samples=258)
         phi_a, phi_b = sample_phases(p, 16.0)
         assert phi_a.shape == phi_b.shape == (258,)
         grid = _mc_grid(p, 16.0)
-        for j in (0, 127, 128, 255, 256, 257):
+        for j in (0, 47, 48, 239, 240, 257):
             r = sample_field(p.model, grid, (p.seed, j))
             assert accumulate_phase(r, 0.0, 16.0, p) == phi_a[j]
             assert accumulate_phase(r, 1.0, 16.0, p) == phi_b[j]
@@ -222,8 +228,9 @@ class TestSampling:
             sample_phases(p, 40.0)
 
     def test_records_do_not_depend_on_the_block_size(self, monkeypatch):
-        # the gate's grid, where the full blocks of 100 and 128 rows sum the
-        # BLAS projections in the same order
+        # the gate's grid: with BLAS on one thread per scoring thread, the
+        # blocks of 100 rows and those of 48 (and the last one, of 12) sum
+        # the BLAS projections in the same order
         p = default_params(n_samples=300)
         est = coherence_mc(p)
         monkeypatch.setattr(montecarlo, "_BLOCK", 100)
@@ -346,6 +353,147 @@ class TestSampling:
         assert [r.t for r in est.records] == [16.0, 32.0]
         assert all(r.n_samples == 128 for r in est.records)
         assert all(0.0 < abs(r.mean) <= 1.0 for r in est.records)
+
+
+# the grids of the benchmark's mc-gate and mc-short workloads
+GATE = dict(positions=(0.0, 5.0), t_list=(100.0, 200.0, 300.0, 400.0))
+SHORT = dict(positions=(0.0, 0.25), t_list=(25.0, 50.0, 75.0, 100.0))
+
+
+def record_threads(monkeypatch) -> set:
+    """The idents of the threads that draw a block of ``coherence_mc``, filled as it runs."""
+    idents, draw_streams = set(), montecarlo._draw_streams
+
+    def draw(*args, **kw):
+        idents.add(threading.get_ident())
+        return draw_streams(*args, **kw)
+
+    monkeypatch.setattr(montecarlo, "_draw_streams", draw)
+    return idents
+
+
+class TestScoringThreads:
+    @pytest.mark.parametrize("grid", [GATE, SHORT], ids=["gate", "short"])
+    def test_records_do_not_depend_on_the_worker_count(self, monkeypatch, grid):
+        # 300 draws are 7 blocks, so up to 3 threads share them; a short
+        # switch interval interleaves them often, so a block lost or scored
+        # twice would show
+        p = default_params(n_samples=300, **grid)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda: workers)
+            idents = record_threads(monkeypatch)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                runs.append(coherence_mc(p))
+            finally:
+                sys.setswitchinterval(interval)
+            monkeypatch.undo()
+            pinned = montecarlo._blas_thread_setter() is not None
+            assert len(idents) <= workers and (len(idents) > 1) == (pinned and workers > 1)
+        for est in runs[1:]:
+            assert est.records == runs[0].records
+            assert np.array_equal(est.covariance, runs[0].covariance)
+
+    def test_records_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the 100-draw noise-dominated run of scripts/output_digests.py, whose
+        # last block is partial, in fresh interpreters with 1 and 2 BLAS threads
+        src = str(Path(confdec.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        tables = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / blas_threads
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from confdec.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "mc", "--mass", "13", "--dx", "5",
+                 "--t-list", "100,125,150,200", "--n-samples", "100", "--seed", "9",
+                 "--out", str(out)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": path,
+                     "OPENBLAS_NUM_THREADS": blas_threads})
+            assert done.returncode == 3, done.stderr
+            tables.append((out / "coherence.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_a_helper_error_reaches_the_caller(self, monkeypatch):
+        # the caller waits until a helper has failed on a block, so that the
+        # failure is the helper's; a stand-in setter runs the helper route on
+        # any BLAS, and the real one, where there is one, must get back the
+        # count it had before
+        caller, failed = threading.get_ident(), threading.Event()
+        draw_streams = montecarlo._draw_streams
+
+        def draw_or_fail(*args, **kw):
+            if threading.get_ident() == caller:
+                failed.wait(30)
+                return draw_streams(*args, **kw)
+            failed.set()
+            raise RuntimeError("a helper failed")
+
+        set_threads = montecarlo._blas_thread_setter()
+        previous = set_threads(2) if set_threads else None
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_blas_thread_setter",
+                            lambda: set_threads or (lambda n: 1))
+        monkeypatch.setattr(montecarlo, "_draw_streams", draw_or_fail)
+        before = threading.active_count()
+        try:
+            with pytest.raises(RuntimeError, match="a helper failed"):
+                coherence_mc(default_params(n_samples=300))
+            assert failed.is_set()
+            assert threading.active_count() == before
+            monkeypatch.setattr(montecarlo, "_draw_streams", draw_streams)
+            coherence_mc(default_params(n_samples=300))
+            assert threading.active_count() == before
+        finally:
+            if set_threads:
+                assert set_threads(previous) == 2
+
+    def test_overlapping_calls_restore_the_blas_thread_count(self):
+        # numpy's OpenBLAS keeps one thread count for the process: calls that
+        # overlap on two threads must leave it as they found it, and score
+        # as one call alone does
+        p = default_params(n_samples=150, **SHORT)
+        est = coherence_mc(p)
+        set_threads = montecarlo._blas_thread_setter()
+        previous = set_threads(2) if set_threads else None
+        results = []
+        try:
+            for _ in range(10):
+                callers = [threading.Thread(target=lambda: results.append(coherence_mc(p)))
+                           for _ in range(2)]
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                if set_threads:
+                    assert set_threads(2) == 2
+        finally:
+            if set_threads:
+                set_threads(previous)
+        assert len(results) == 20
+        assert all(other.records == est.records for other in results)
+
+    def test_no_helper_without_a_blas_setter(self, monkeypatch):
+        # the caller scores every block alone, with BLAS as it is: here on one
+        # thread, where the records are those of the threaded route
+        p = default_params(n_samples=300)
+        est = coherence_mc(p)
+        set_threads = montecarlo._blas_thread_setter()
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_blas_thread_setter", lambda: None)
+        idents = record_threads(monkeypatch)
+        previous = set_threads(1) if set_threads else None
+        try:
+            other = coherence_mc(p)
+        finally:
+            if set_threads:
+                set_threads(previous)
+        assert idents == {threading.get_ident()}
+        assert other.records == est.records
+        assert np.array_equal(other.covariance, est.covariance)
 
 
 def gaussian_quadratic_expectation(sigma, beta, quad, const=0.0):
