@@ -30,7 +30,7 @@ from confdec import io as cio
 from confdec.cli import main as cli_main
 from confdec.field import CorrelationModel, FieldGrid, sample_field
 from confdec.master import superposed_gaussians
-from confdec.montecarlo import (McParams, _blas_thread_setter, _scoring_threads,
+from confdec.montecarlo import (McParams, _blas_thread_setter, _one_blas_thread,
                                 coherence_mc, sample_phases)
 
 # (name, argv); input paths are relative to the working directory so that
@@ -119,8 +119,9 @@ def draw_lines():
 
 
 def main():
-    pinned = "yes" if _blas_thread_setter() else "no"
-    print(f"Monte Carlo scoring threads: {_scoring_threads()}; "
+    with _one_blas_thread() as threads:     # the count the Monte Carlo blocks run on
+        pinned = "yes" if _blas_thread_setter() else "no"
+    print(f"Monte Carlo scoring threads: {threads}; "
           f"BLAS pinned to one thread in each: {pinned}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)

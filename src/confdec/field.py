@@ -226,6 +226,22 @@ def _smooth_length(target: int) -> int:
     return n
 
 
+def _refuse_beyond_memory(nbytes: float, need: str) -> None:
+    """Refuse ``nbytes`` beyond physical memory with a ``ValueError`` naming ``need``.
+
+    Called before the arrays are allocated, so that a run too large for the
+    host is refused with a message rather than failing, or being killed,
+    part way.
+    """
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):     # no sysconf: nothing to check against
+        return
+    if nbytes > memory:
+        raise ValueError(f"{need}, about {nbytes / 2**30:.3g} GiB, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
+
+
 @functools.lru_cache(maxsize=64)
 def _embedding(model: CorrelationModel, dt: float, n_steps: int):
     """Circulant length, amplitudes, covariance row and half-spectrum.
@@ -246,14 +262,8 @@ def _embedding(model: CorrelationModel, dt: float, n_steps: int):
     L = _smooth_length(n_steps + pad)
     while L % 2:
         L = _smooth_length(L + 1)
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):     # no sysconf: nothing to check against
-        memory = math.inf
-    if L * _EMBEDDING_BYTES > memory:
-        raise ValueError(f"dt = {dt!r} and n_steps = {n_steps} need an embedding of {L} "
-                         f"points, about {L * _EMBEDDING_BYTES / 2**30:.3g} GiB, more than "
-                         f"the {memory / 2**30:.3g} GiB of physical memory")
+    _refuse_beyond_memory(L * _EMBEDDING_BYTES, f"dt = {dt!r} and n_steps = {n_steps} "
+                                                 f"need an embedding of {L} points")
     k = np.arange(L)
     circ_lag = np.minimum(k, L - k) * dt
     eig = np.fft.fft(model.g1(circ_lag)).real

@@ -35,19 +35,22 @@ error and their covariance across T are reduced with numpy over the full
 ensemble of draws, and ``fit_decoherence_rate`` fits the rate by
 generalized least squares on that covariance.
 
-The blocks of draws are scored on every usable core, each thread taking
-the next block and writing its own rows of the scores, with BLAS on one
-thread in each.  The scores go through BLAS products, whose last bits can
-depend on their row count and the BLAS thread count: a draw in the partial
-last block of a run can differ in its last bit from the same draw scored
-in a full block.  So the records reproduce for a fixed ``n_samples`` and
-``_BLOCK``, whatever the core or BLAS thread count, where numpy's BLAS is
-an OpenBLAS with ``openblas_set_num_threads_local``.  With any other BLAS
-the blocks are scored on the calling thread alone, with BLAS as it is, and
-the records reproduce for a fixed BLAS thread count too.
+``coherence_mc`` and ``sample_phases`` run their blocks of draws on every
+usable core, each thread taking the next block and writing its own rows,
+with BLAS on one thread; as that count is the whole process's, calls that
+overlap run one after the other.  The scores go through BLAS products,
+whose last bits can depend on their row count and the BLAS thread count: a
+draw in the partial last block can differ in its last bit from the same
+draw in a full block.  So the records reproduce for a fixed ``n_samples``
+and ``_BLOCK``, whatever the core or BLAS thread count, where numpy's BLAS
+is an OpenBLAS with ``openblas_set_num_threads_local``.  With any other
+BLAS the blocks run on the calling thread alone, with BLAS as it is, and
+the records reproduce for a fixed BLAS thread count too.  The phases are
+summed off BLAS, so they reproduce in every case.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -63,10 +66,11 @@ from .core import NATURAL, PhysicalConstants
 from .errors import (FitDegenerate, InsufficientSamples, OutOfRange,
                      UndersampledSignal)
 from .field import (CorrelationModel, FieldGrid, FieldRealization,
-                    _draw_streams, _embedding, _grid_step, _is_int, _seed_entropy,
-                    embedding_spectrum)
+                    _draw_streams, _embedding, _grid_step, _is_int,
+                    _refuse_beyond_memory, _seed_entropy, embedding_spectrum)
 
 _BLOCK = 48             # samples per synthesis batch: bounds the streams each thread holds
+_SCORE_BYTES = 32       # peak bytes per score (tracemalloc): z and one complex temporary
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
 
 
@@ -264,37 +268,11 @@ def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
                            realization.grid, t_final, x, params)[0])
 
 
-def _keyed_blocks(params: McParams, streams=(0, 1)):
-    """``(starts, draw)``: the batches of the draws keyed ``(seed, j)``.
-
-    ``starts`` holds the first index of each batch of ``_BLOCK`` draws, and
-    ``draw(start)`` gives ``(slice, xi)`` for that batch: ``xi`` holds its
-    given streams, ``(len(streams), b, n)``, on the grid of the longest T,
-    ``_mc_grid(params, max(params.t_list))``.  ``draw`` keeps no state, so
-    batches may be drawn in any order, on any thread.
-    """
-    grid = _mc_grid(params, max(params.t_list))
-    L, amp = embedding_spectrum(params.model, grid)
-
-    def draw(start):
-        stop = min(start + _BLOCK, params.n_samples)
-        return slice(start, stop), _draw_streams(
-            [(params.seed, j) for j in range(start, stop)],
-            L, amp, grid.n_steps, streams)
-
-    return range(0, params.n_samples, _BLOCK), draw
-
-
 def _usable_cores() -> int:
     """The cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _scoring_threads() -> int:
-    """Threads ``_on_every_core`` runs on: a usable core each where BLAS can be pinned."""
-    return _usable_cores() if _blas_thread_setter() else 1
 
 
 @functools.cache
@@ -318,61 +296,60 @@ def _blas_thread_setter():
     return None
 
 
-class _OneBlasThread:
-    """``with _one_blas_thread:`` runs BLAS on one thread in the block.
+_blas_lock = threading.Lock()
 
-    The count is the whole process's, so the blocks of every thread share
-    one pin: the first to enter sets the count to 1, and the last to leave
-    restores the count the first found, however the blocks of several
-    threads overlap.  Where numpy's BLAS has no setter, BLAS stays as it is.
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """BLAS on one thread in the block; yields the threads to run blocks on.
+
+    The BLAS thread count is the whole process's, so overlapping blocks take
+    turns on one lock: each sets the count to 1 and restores the count it
+    found.  It yields a usable core each where numpy's BLAS has the setter,
+    and 1 where it has none, leaving BLAS as it is.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._set_threads = self._previous = None
-
-    def __enter__(self):
-        with self._lock:
-            if self._holders == 0:
-                self._set_threads = _blas_thread_setter()
-                self._previous = self._set_threads(1) if self._set_threads else None
-            self._holders += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._holders -= 1
-            if self._holders == 0 and self._set_threads:
-                self._set_threads(self._previous)
+    with _blas_lock:
+        set_threads = _blas_thread_setter()
+        if set_threads is None:
+            yield 1
+            return
+        previous = set_threads(1)
+        try:
+            yield _usable_cores()
+        finally:
+            set_threads(previous)
 
 
-_one_blas_thread = _OneBlasThread()
+def _each_block(params: McParams, streams, func, threads: int) -> None:
+    """``func(block, xi)`` for each batch of ``_BLOCK`` draws keyed ``(seed, j)``.
 
-
-def _on_every_core(func, items) -> None:
-    """``func(item)`` for every item, on the caller and a helper per further usable core.
-
-    Call it inside ``with _one_blas_thread``, so that every thread runs BLAS
-    on one thread and a BLAS product sums in the same order whichever
-    thread runs it and however many run.  Each thread takes the next item
-    from one shared iterator.  Where numpy's BLAS has no setter, the caller
-    runs every item alone.  The first exception raised by any call stops
-    the others at their next item and is raised once every helper has
-    stopped, so no thread outlives the call.
+    ``block`` is the batch's slice of the draw indices and ``xi`` its given
+    streams, ``(len(streams), b, n)``, on the grid of the longest T.  The
+    batches run on the caller and ``threads - 1`` helpers, each taking the
+    next from one shared iterator, so ``func`` may write only its own rows.
+    Run it inside ``_one_blas_thread``, which gives ``threads``, so that a
+    BLAS product sums in the same order on any thread.  The first exception
+    raised by any call stops the others at their next batch and is raised
+    once every helper has stopped, so no thread outlives the call.
     """
-    todo, errors = iter(items), []
+    grid = _mc_grid(params, max(params.t_list))
+    L, amp = embedding_spectrum(params.model, grid)
+    starts, errors = range(0, params.n_samples, _BLOCK), []
+    todo = iter(starts)
 
     def run():
         try:
-            for item in todo:
+            for start in todo:
                 if errors:
                     return
-                func(item)
+                stop = min(start + _BLOCK, params.n_samples)
+                func(slice(start, stop), _draw_streams(
+                    [(params.seed, j) for j in range(start, stop)],
+                    L, amp, grid.n_steps, streams))
         except BaseException as exc:      # raised again by the caller below
             errors.append(exc)
 
-    helpers = [threading.Thread(target=run)
-               for _ in range(min(_scoring_threads(), len(items)) - 1)]
+    helpers = [threading.Thread(target=run) for _ in range(min(threads, len(starts)) - 1)]
     try:
         for thread in helpers:
             thread.start()
@@ -394,10 +371,13 @@ def sample_phases(params: McParams, t: float):
     """
     grid = _mc_grid(params, max(params.t_list))
     phases = np.empty((2, params.n_samples))
-    starts, draw = _keyed_blocks(params)
-    for block, xi in map(draw, starts):
+
+    def phase_block(block, xi):
         for out, x in zip(phases, params.positions):
             out[block] = _phase_at(xi[0], xi[1], grid, t, x, params)
+
+    with _one_blas_thread() as threads:
+        _each_block(params, (0, 1), phase_block, threads)
     return phases[0], phases[1]
 
 
@@ -538,11 +518,12 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
             f"n_samples = {params.n_samples} < 100 gives meaningless statistics")
     n = params.n_samples
     grids = [_mc_grid(params, t) for t in params.t_list]
+    _refuse_beyond_memory(len(grids) * n * _SCORE_BYTES,
+                          f"n_samples = {n} at {len(grids)} flight times need "
+                          f"{len(grids) * n} scores")
     z = np.empty((len(grids), n), dtype=complex)
-    starts, draw = _keyed_blocks(params, streams=(1,))
 
-    def score_block(start):
-        block, xi = draw(start)
+    def score_block(block, xi):
         # a phase too large to score overflows; the scores are checked below
         with np.errstate(all="ignore"):     # the error state is per thread
             for out, (n_steps, score) in zip(z, scorers):
@@ -550,11 +531,11 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
 
     # one BLAS thread throughout: a BLAS call on more threads leaves them
     # spinning for a while, against the scoring threads
-    with _one_blas_thread:
+    with _one_blas_thread() as threads:
         with np.errstate(all="ignore"):
             scorers = [(grid.n_steps, _conditional_scorer(params, grid, t)[1])
                        for grid, t in zip(grids, params.t_list)]
-        _on_every_core(score_block, starts)
+        _each_block(params, (1,), score_block, threads)
         bad = ~np.isfinite(z).all(axis=1)
         if bad.any():
             raise UndersampledSignal(

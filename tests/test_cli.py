@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import numpy as np
@@ -501,6 +502,21 @@ class TestMcCommand:
                 assert read_bytes(d1 / name) == read_bytes(d2 / name), (mass, name)
         capsys.readouterr()
 
+    def test_scores_beyond_physical_memory_refused(self, tmp_path, monkeypatch, capsys):
+        # 10^9 draws at the 4 default T need 128 GB of scores: refused before
+        # anything is allocated or drawn, here against 1 GiB of memory
+        sysconf = os.sysconf
+        memory = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 2**12}
+        monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+        monkeypatch.setattr("confdec.montecarlo._draw_streams",
+                            lambda *args: pytest.fail("drew before refusing"))
+        out = tmp_path / "o"
+        assert main(["mc", "--n-samples", "1000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n_samples = 1000000000 at 4 flight times need" in err
+        assert "more than the 1 GiB of physical memory" in err
+        assert not out.exists()
+
     def test_rate_outside_3_stderr_exits_3(self, tmp_path, monkeypatch, capsys):
         # a fit far from the prediction must fail the run like any other
         # statistical check, and still leave its rate.json and manifest
@@ -530,6 +546,15 @@ class TestKernelCommand:
         # columns: dx, T, general, closed, rel deviation
         mask = rows[:, 0] > 0
         assert np.all(np.abs(rows[mask, 4]) <= 1.0 / rows[mask, 1])
+
+    @pytest.mark.parametrize("t_total", ["1e15", "1e16", "1e300"])
+    def test_closed_form_check_at_long_flight_times(self, tmp_path, t_total):
+        # tau/T falls below the roundoff that the two kernels agree to
+        # (1e-16 to 1e-15 here), so the check's tolerance has a floor
+        assert main(["kernel", "--compare-t", t_total, "--out", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "comparison.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        assert np.all(np.abs(rows[:, 4]) <= 1e-13)
 
 
 class TestEvolveCommand:

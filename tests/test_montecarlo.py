@@ -361,7 +361,7 @@ SHORT = dict(positions=(0.0, 0.25), t_list=(25.0, 50.0, 75.0, 100.0))
 
 
 def record_threads(monkeypatch) -> set:
-    """The idents of the threads that draw a block of ``coherence_mc``, filled as it runs."""
+    """The idents of the threads that draw a block of keyed draws, filled as it runs."""
     idents, draw_streams = set(), montecarlo._draw_streams
 
     def draw(*args, **kw):
@@ -395,6 +395,27 @@ class TestScoringThreads:
         for est in runs[1:]:
             assert est.records == runs[0].records
             assert np.array_equal(est.covariance, runs[0].covariance)
+
+    @pytest.mark.parametrize("grid", [GATE, SHORT], ids=["gate", "short"])
+    def test_phases_do_not_depend_on_the_worker_count(self, monkeypatch, grid):
+        # sample_phases runs its blocks on the same threads as coherence_mc,
+        # and sums each row off BLAS, so every phase is bit-identical
+        p = default_params(n_samples=300, **grid)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda: workers)
+            idents = record_threads(monkeypatch)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                runs.append(np.stack(sample_phases(p, max(p.t_list))))
+            finally:
+                sys.setswitchinterval(interval)
+            monkeypatch.undo()
+            pinned = montecarlo._blas_thread_setter() is not None
+            assert len(idents) <= workers and (len(idents) > 1) == (pinned and workers > 1)
+        for phases in runs[1:]:
+            assert np.array_equal(phases, runs[0])
 
     def test_records_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the 100-draw noise-dominated run of scripts/output_digests.py, whose
