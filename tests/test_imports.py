@@ -1,4 +1,4 @@
-"""Importing confdec loads no scipy; the two quadratures load it on first use."""
+"""Importing confdec loads no scipy; only the zero-point quadrature loads it, on first use."""
 import os
 import subprocess
 import sys
@@ -37,6 +37,7 @@ def test_quadratures_import_scipy_on_demand():
         "from confdec.master import general_kernel\n"
         f"assert {SCIPY_MODULES} == []\n"
         "print(repr(general_kernel(CorrelationModel.gaussian(1.0), 5.0, 100.0, 1.0, 0.1)))\n"
+        f"assert {SCIPY_MODULES} == []\n"
         "print(repr(integrated_zero_point_density(1e43)))\n"
         "print('scipy.integrate' in sys.modules)\n")
     kernel, density, loaded = out.split()

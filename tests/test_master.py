@@ -1,5 +1,7 @@
 import math
 import re
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from confdec.core import NATURAL, SI
 from confdec.errors import QuadratureFailure, StepTooLarge
 from confdec.field import CorrelationModel
+from confdec import master
 from confdec.master import (DensityMatrix, GrwParams, closed_form_kernel,
                             decoherence_factor, evolve_pure_decoherence,
                             evolve_with_free_hamiltonian, general_kernel,
@@ -297,6 +300,39 @@ class TestSplitStep:
         ev = evolve_with_free_hamiltonian(rho, GP, mass=1.0, dt=0.1, n_steps=0)
         assert ev is rho
 
+    def test_halving_runs_on_two_threads(self, monkeypatch):
+        idents = []
+
+        def recording_run(*args):
+            idents.append(threading.get_ident())
+            return strang_run(*args)
+
+        strang_run = master._strang_run
+        monkeypatch.setattr(master, "_strang_run", recording_run)
+        rho = superposed_gaussians(grid(n=64), sigma=1.0, separation=4.0)
+        evolve_with_free_hamiltonian(rho, GP, mass=1.0, dt=0.05, n_steps=4)
+        assert len(idents) == 2 and idents[0] != idents[1]
+
+    def test_fine_run_failure_propagates_after_join(self, monkeypatch):
+        def failing_fine_run(rho, params, mass, dt, n_steps, hbar):
+            if dt < 0.05:
+                raise RuntimeError("fine run failed")
+            return strang_run(rho, params, mass, dt, n_steps, hbar)
+
+        strang_run = master._strang_run
+        monkeypatch.setattr(master, "_strang_run", failing_fine_run)
+        before = threading.active_count()
+        rho = superposed_gaussians(grid(n=64), sigma=1.0, separation=4.0)
+        with pytest.raises(RuntimeError, match="fine run failed"):
+            evolve_with_free_hamiltonian(rho, GP, mass=1.0, dt=0.05, n_steps=4)
+        assert threading.active_count() == before
+
+    def test_result_equals_the_serial_fine_run(self):
+        rho = superposed_gaussians(grid(n=67), sigma=1.0, separation=4.0)
+        ev = evolve_with_free_hamiltonian(rho, GP, mass=1.0, dt=0.05, n_steps=10)
+        fine = master._strang_run(rho, GP, 1.0, 0.025, 20, NATURAL.hbar)
+        assert np.array_equal(ev.entries, 0.5 * (fine + fine.conj().T))
+
     def test_validation(self):
         rho = pure_gaussian(grid(), sigma=1.0)
         with pytest.raises(ValueError):
@@ -306,6 +342,13 @@ class TestSplitStep:
 
 
 GAUSS = CorrelationModel.gaussian(1.0)
+PREF = (1.0 * 0.1**2) ** 2          # (M c^2 A0^2 / hbar)^2 at M = 1, A0 = 0.1
+
+
+def gaussian_lag_integral(t_total):
+    """``int_0^15 (T - s) exp(-2 s^2) ds``, over GAUSS's 15 tau support, in closed form."""
+    return (t_total * math.sqrt(math.pi / 8.0) * math.erf(15.0 * math.sqrt(2.0))
+            + 0.25 * math.expm1(-2.0 * 15.0**2))
 
 
 class TestGeneralKernel:
@@ -333,6 +376,43 @@ class TestGeneralKernel:
             general_kernel(GAUSS, 5.0, 40.0, 1.0, 0.1)  # < 10 dx/c
         with pytest.raises(ValueError):
             general_kernel(GAUSS, 0.0, 5.0, 1.0, 0.1)   # < 10 tau
+
+    @pytest.mark.parametrize("t_total", [100.0, 1e6, 1e15])
+    @pytest.mark.parametrize("dx", [1.0, 5.0])
+    def test_gaussian_equals_closed_lag_integrals(self, dx, t_total):
+        # g1(s - d) g1(s + d) = exp(-2 d^2) exp(-2 s^2), so
+        # I1 - 2 I2 = 2 expm1(-2 d^2) int_0^{15} (T - s) exp(-2 s^2) ds
+        exact = PREF * 2.0 * math.expm1(-2.0 * dx**2) * gaussian_lag_integral(t_total)
+        val = general_kernel(GAUSS, dx, t_total, 1.0, 0.1)
+        assert val == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_small_separation_tracks_expm1_form(self):
+        # I1 and 2 I2 agree to about 2e-12 here, so their roundoff is magnified
+        exact = PREF * 2.0 * math.expm1(-2.0e-12) * gaussian_lag_integral(1e6)
+        val = general_kernel(GAUSS, 1e-6, 1e6, 1.0, 0.1)
+        assert val == pytest.approx(exact, rel=2e-5, abs=0.0)
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("t_total", [100.0, 1e6, 1e15])
+    def test_triangular_table_is_exact(self, a, t_total):
+        # g1 = 1 - s/a on [0, a]: I2 = a T / 3 - a^2 / 12, and I1 = 0 once d >= a
+        tri = CorrelationModel.tabulated([0.0, a], [1.0, 0.0])
+        i2 = a * t_total / 3.0 - a * a / 12.0
+        for dx in (a, 2.0 * a, 7.0):
+            val = general_kernel(tri, dx, t_total, 1.0, 0.1)
+            assert val == pytest.approx(-2.0 * PREF * i2, rel=1e-14, abs=0.0)
+
+    def test_work_bounded_by_the_support(self):
+        # d = 1e6 tau: I1 has no support and I2 covers 15 tau, however large T
+        tracemalloc.start()
+        try:
+            val = general_kernel(GAUSS, 1e6, 1e7, 1.0, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert val == pytest.approx(-2.0 * PREF * gaussian_lag_integral(1e7),
+                                    rel=1e-13, abs=0.0)
+        assert peak < 1 << 20
 
     def test_tabulated_tracks_gaussian(self):
         lags = np.linspace(0.0, 8.0, 161)
