@@ -2,7 +2,7 @@
 """Print SHA-256 digests of every confdec output on small fixed inputs.
 
 Runs each CLI subcommand once (``mc`` also on a noise-dominated input that
-exits 3), replays it from its manifest.json, runs a ``kernel`` input that is
+exits 3, and ``evolve --kinetic-mass`` on an odd and an even grid), replays it from its manifest.json, runs a ``kernel`` input that is
 refused (exit 2) and counts the files it left, and digests the Monte Carlo
 coherence records and their covariance across T of a 300-draw run at
 dx = 5 and dx = 0.25.  It also digests one ``sample_field`` draw under the
@@ -46,6 +46,9 @@ RUNS = [
     ("evolve", ["evolve", "--input", "rho.json"]),
     ("evolve-kinetic", ["evolve", "--input", "rho.csv", "--kinetic-mass", "1",
                         "--dt", "0.05", "--n-steps", "4"]),
+    # an even grid: its half spectrum has a Nyquist column
+    ("evolve-kinetic-even", ["evolve", "--input", "rho-even.csv", "--kinetic-mass", "1",
+                             "--dt", "0.05", "--n-steps", "4"]),
     ("bound", ["bound", "--sweep-mass", "50,100", "--sweep-time", "0.1,1"]),
 ]
 
@@ -74,6 +77,8 @@ def write_inputs():
     rho = superposed_gaussians(np.linspace(-8.0, 8.0, 33), sigma=1.0, separation=4.0)
     cio.density_matrix_to_json(rho, "rho.json")
     cio.density_matrix_to_csv(rho, "rho.csv")
+    even = superposed_gaussians(np.linspace(-8.0, 8.0, 32), sigma=1.0, separation=4.0)
+    cio.density_matrix_to_csv(even, "rho-even.csv")
     lags = np.arange(121) * 0.05
     Path("g1.csv").write_text("".join(f"{lag:.17g},{np.exp(-lag * lag):.17g}\n"
                                       for lag in lags))

@@ -5,7 +5,8 @@ CSV floats are written with 17 significant digits and JSON floats as
 read back as the same doubles and re-running a manifest reproduces outputs
 byte-identically; JSON objects are written with sorted keys for the same
 reason.  Tables are formatted in one ``%``-template pass; the density-matrix
-JSON writes the same bytes as the ``json`` route.
+JSON writes the same bytes as the ``json`` route, in blocks of rows, with one
+``repr`` per distinct magnitude of its entries.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ import numpy as np
 
 from .field import FieldRealization, _is_int
 from .master import DensityMatrix
+
+_ROWS_PER_WRITE = 4096     # density-matrix JSON rows formatted per write
 
 
 def write_csv(path, header, rows):
@@ -69,11 +72,28 @@ def read_json(path):
         return json.load(fh)
 
 
-def _float_rows(row, sep, columns) -> str:
-    """The rows of the float ``columns``, each through the ``%``-template
-    ``row`` and joined by ``sep``, formatted in one pass."""
-    table = np.column_stack(columns)
-    return sep.join([row] * len(table)) % tuple(table.ravel().tolist())
+def _write_float_rows(fh, row, sep, columns):
+    """Write the rows of the float ``columns`` to ``fh``, each through the
+    ``%s``-template ``row``, joined by ``sep``.
+
+    Each float is written as its ``repr``, which is called once per distinct
+    magnitude; the sign is put back by ``np.signbit``, so ``-0.0`` stays
+    ``"-0.0"``.  A Hermitian matrix holds each off-diagonal magnitude at
+    least twice.  The rows are formatted ``_ROWS_PER_WRITE`` at a time, one
+    ``%`` pass each, so that the temporary strings stay small.
+    """
+    width = len(columns)
+    values = np.column_stack(columns).reshape(-1)
+    mags, which = np.unique(np.abs(values), return_inverse=True)
+    reprs = np.array([repr(v) for v in mags.tolist()], dtype=object)
+    negative = np.signbit(values)
+    step = _ROWS_PER_WRITE * width
+    for start in range(0, values.size, step):
+        cells = reprs[which[start:start + step]]
+        neg = negative[start:start + step]
+        cells[neg] = "-" + cells[neg]
+        fh.write((sep if start else "")
+                 + sep.join([row] * (cells.size // width)) % tuple(cells.tolist()))
 
 
 def realization_to_csv(realization: FieldRealization, path, time_unit: str = "1"):
@@ -84,13 +104,14 @@ def realization_to_csv(realization: FieldRealization, path, time_unit: str = "1"
 
 def density_matrix_to_json(rho: DensityMatrix, path):
     """The bytes ``write_json`` writes for ``{"grid": {n, dx, x0}, "entries":
-    [[re, im], ...]}``; ``%r`` is the float repr ``json`` uses for finite floats."""
+    [[re, im], ...]}``; ``repr`` is the float format ``json`` uses for finite floats."""
     flat = rho.entries.reshape(-1)
-    entries = _float_rows("    [\n      %r,\n      %r\n    ]", ",\n", (flat.real, flat.imag))
     with Path(path).open("w") as fh:
-        fh.write('{\n  "entries": [\n%s\n  ],\n  "grid": {\n    "dx": %r,\n'
-                 '    "n": %d,\n    "x0": %r\n  }\n}\n'
-                 % (entries, rho.dx, rho.n, float(rho.x_grid[0])))
+        fh.write('{\n  "entries": [\n')
+        _write_float_rows(fh, "    [\n      %s,\n      %s\n    ]", ",\n",
+                          (flat.real, flat.imag))
+        fh.write('\n  ],\n  "grid": {\n    "dx": %r,\n    "n": %d,\n    "x0": %r\n  }\n}\n'
+                 % (rho.dx, rho.n, float(rho.x_grid[0])))
 
 
 def density_matrix_from_json(path) -> DensityMatrix:

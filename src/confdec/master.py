@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import NATURAL, PhysicalConstants
 from .errors import StepTooLarge
-from .field import CorrelationModel
+from .field import CorrelationModel, _is_int
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-9
@@ -197,22 +197,44 @@ def _kinetic_phase(rho: DensityMatrix, mass: float, dt: float,
     return np.exp(-1j * hbar * k * k * dt / (2.0 * mass))
 
 
-def _kinetic_step(entries: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    # rho -> U rho U+ with U diagonal in k-space, applied along both indices
-    a = np.fft.ifft(phase[:, None] * np.fft.fft(entries, axis=0), axis=0)
-    return np.fft.ifft(phase[None, :].conj() * np.fft.fft(a, axis=1), axis=1)
-
-
 def _strang_run(rho: DensityMatrix, params: GrwParams, mass: float, dt: float,
                 n_steps: int, hbar: float) -> np.ndarray:
+    """Entries of the Hermitian part of ``rho`` after ``n_steps`` Strang steps of ``dt``.
+
+    A Hermitian rho = A + iB (A symmetric, B antisymmetric) is held whole by
+    the real r = A + B, so the run evolves r: one ``rfft2`` and one
+    ``irfft2`` per step.  With R = rfft2(r), Phi(k, k') = p(k) conj p(k')
+    for the kinetic phase p, and R^T(k, k') = R(k', k), the kinetic step
+    rho -> U rho U+ is rfft2(r') = Re Phi R + Im Phi R^T.  That needs
+    p(-k) = p(k), exact on the ``fftfreq`` grid, whose frequencies are exact
+    negatives of each other.  R^T is read off the half spectrum through
+    R(-k, -k') = conj R(k, k').  The decoherence factor is real and
+    symmetric, so multiplying r by it keeps the encoding.  The result,
+    (r + r^T)/2 + i (r - r^T)/2, is exactly Hermitian.
+    """
+    n = rho.n
+    m = n // 2 + 1                            # columns of the half spectrum
     half = _factor_matrix(rho, params, dt / 2.0)
-    phase = _kinetic_phase(rho, mass, dt, hbar)
-    e = rho.entries.copy()
+    p = _kinetic_phase(rho, mass, dt, hbar)
+    phi = p[:, None] * p[None, :m].conj()
+    # flat indices into R of R^T(k, k'): R(k', k) in the rows k < m, and in
+    # the rows k >= m R(-k' mod n, n - k), to be conjugated
+    k, kp = np.arange(n)[:, None], np.arange(m)[None, :]
+    flip = np.where(k < m, kp * m + k, (-kp % n) * m + n - k)
+    e = rho.entries
+    h = e + e.conj().T                        # twice the Hermitian part
+    r = 0.5 * (h.real + h.imag)
     for _ in range(n_steps):
-        e *= half
-        e = _kinetic_step(e, phase)
-        e *= half
-    return e
+        r *= half
+        spec = np.fft.rfft2(r)
+        spec_t = spec.reshape(-1)[flip]
+        np.conjugate(spec_t[m:], out=spec_t[m:])
+        r = np.fft.irfft2(phi.real * spec + phi.imag * spec_t, s=(n, n))
+        r *= half
+    out = np.empty((n, n), dtype=complex)
+    out.real = 0.5 * (r + r.T)
+    out.imag = 0.5 * (r - r.T)
+    return out
 
 
 def evolve_with_free_hamiltonian(rho: DensityMatrix, params: GrwParams,
@@ -223,14 +245,19 @@ def evolve_with_free_hamiltonian(rho: DensityMatrix, params: GrwParams,
 
     Each step is a decoherence half-step, a spectral kinetic step on both
     density-matrix indices (periodic boundaries), and another half-step.
-    The result is recomputed at half the step, on a helper thread while
-    the caller runs the first; if the two disagree by more than 1e-6 in
-    max entry norm the step is too coarse (``StepTooLarge``) and the caller
-    should reduce ``dt``.  The finer result is returned.  An exception in
-    either run is raised once the helper has stopped.
+    The steps act on the Hermitian part of ``rho``, held in one real
+    matrix, and the result is exactly Hermitian.  The result is recomputed
+    at half the step, on a helper thread while the caller runs the first;
+    if the two disagree by more than 1e-6 in max entry norm the step is too
+    coarse (``StepTooLarge``) and the caller should reduce ``dt``.  The
+    finer result is returned.  An exception in either run is raised once
+    the helper has stopped.  ``n_steps`` must be an int (a numpy int will
+    do, a ``bool`` will not).
     """
     if not (0 < mass < math.inf and 0 < dt < math.inf):
         raise ValueError("mass and dt must be positive and finite")
+    if not _is_int(n_steps):
+        raise ValueError("n_steps must be an int")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     if n_steps == 0:
@@ -259,8 +286,7 @@ def evolve_with_free_hamiltonian(rho: DensityMatrix, params: GrwParams,
     if diff > _HALVING_TOL:
         raise StepTooLarge(
             f"halving dt changed the result by {diff:.3e} > {_HALVING_TOL}")
-    return DensityMatrix(x_grid=rho.x_grid,
-                         entries=0.5 * (fine + fine.conj().T))
+    return DensityMatrix(x_grid=rho.x_grid, entries=fine)
 
 
 def general_kernel(g1_model: CorrelationModel, delta_x: float, t_total: float,

@@ -4,6 +4,7 @@ import io as textio
 import json
 
 import numpy as np
+import pytest
 
 from confdec import io
 from confdec.field import FieldGrid, FieldRealization
@@ -33,6 +34,12 @@ def csv_route(header, rows) -> bytes:
     return buf.getvalue().encode()
 
 
+def json_route(rho: DensityMatrix) -> bytes:
+    obj = {"grid": {"n": rho.n, "dx": rho.dx, "x0": float(rho.x_grid[0])},
+           "entries": [[float(v.real), float(v.imag)] for v in rho.entries.reshape(-1)]}
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_mixed_table_is_csv_writer(tmp_path):
     # a str, an int and a float column, as in g1.csv and coherence.csv
     floats = [-0.0, 5e-324, float("inf"), float("nan"), 1.0 / 3.0]
@@ -45,13 +52,48 @@ def test_mixed_table_is_csv_writer(tmp_path):
 
 def test_density_matrix_json_is_json_dump(tmp_path):
     rho = awkward_matrix()
-    obj = {"grid": {"n": rho.n, "dx": rho.dx, "x0": float(rho.x_grid[0])},
-           "entries": [[float(v.real), float(v.imag)] for v in rho.entries.reshape(-1)]}
     path = tmp_path / "rho.json"
     io.density_matrix_to_json(rho, path)
-    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    assert path.read_bytes() == json_route(rho)
     back = io.density_matrix_from_json(path)
     assert np.array_equal(back.entries, rho.entries)
+
+
+def repeated_magnitude_matrix(n=70) -> np.ndarray:
+    """Exactly Hermitian entries drawn from a few magnitudes of both signs,
+    with signed zeros and subnormals, and a diagonal with trace 1."""
+    rng = np.random.default_rng(11)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.0 / 3.0, -1.0 / 3.0,
+                     1e-5, -1e16, 1.2533141373155003e-4])
+    upper = rng.choice(pool, (n, n)) + 1j * rng.choice(pool, (n, n))
+    e = np.triu(upper, 1)
+    lower = np.tril_indices(n, -1)
+    e[lower] = e.T[lower].conj()          # assigned, not added: -0.0 stays -0.0
+    e[np.diag_indices(n)] = rng.choice([0.5, 0.25], n) + 0j
+    e[np.diag_indices(n)] /= e.trace().real
+    return e
+
+
+@pytest.mark.parametrize("rows_per_write", [1, 7, io._ROWS_PER_WRITE])
+def test_density_matrix_json_bytes_for_repeated_magnitudes(tmp_path, monkeypatch,
+                                                            rows_per_write):
+    # 4900 rows: more than one write at the default block, and a short last one
+    monkeypatch.setattr(io, "_ROWS_PER_WRITE", rows_per_write)
+    e = repeated_magnitude_matrix()
+    exact = DensityMatrix(x_grid=np.arange(70.0), entries=e)
+    assert np.array_equal(exact.entries, exact.entries.conj().T)
+    parts = np.concatenate((e.real.ravel(), e.imag.ravel()))
+    assert np.signbit(parts[parts == 0.0]).any() and (~np.signbit(parts[parts == 0.0])).any()
+    assert (parts == -5e-324).any() and (parts == 5e-324).any()
+    # Hermitian only to roundoff, which the 1e-12 tolerance allows
+    skew = 1e-14 * np.triu(np.random.default_rng(5).standard_normal((70, 70)), 1)
+    near = DensityMatrix(x_grid=np.arange(70.0), entries=e + skew + 1j * skew)
+    assert not np.array_equal(near.entries, near.entries.conj().T)
+    for rho in (exact, near):
+        path = tmp_path / "rho.json"
+        io.density_matrix_to_json(rho, path)
+        assert path.read_bytes() == json_route(rho)
+        assert np.array_equal(io.density_matrix_from_json(path).entries, rho.entries)
 
 
 def test_density_matrix_csv_is_csv_writer(tmp_path):

@@ -249,6 +249,23 @@ class TestPureDecoherence:
             evolve_pure_decoherence(rho, GP, -1.0)
 
 
+# a localization strong enough against the kinetic step to show the splitting error
+STRONG = GrwParams(lambda_grw=0.3, alpha=2.0)
+
+
+def complex_strang_run(rho, params, mass, dt, n_steps, hbar):
+    """Strang steps on the complex entries, four 1-D FFT passes each, hermitized."""
+    half = master._factor_matrix(rho, params, dt / 2.0)
+    phase = master._kinetic_phase(rho, mass, dt, hbar)
+    e = rho.entries.copy()
+    for _ in range(n_steps):
+        e *= half
+        a = np.fft.ifft(phase[:, None] * np.fft.fft(e, axis=0), axis=0)
+        e = np.fft.ifft(phase[None, :].conj() * np.fft.fft(a, axis=1), axis=1)
+        e *= half
+    return 0.5 * (e + e.conj().T)
+
+
 def spatial_moments(rho: DensityMatrix):
     p = np.real(np.diag(rho.entries)) * rho.dx
     mean = float(np.sum(rho.x_grid * p))
@@ -332,6 +349,52 @@ class TestSplitStep:
         ev = evolve_with_free_hamiltonian(rho, GP, mass=1.0, dt=0.05, n_steps=10)
         fine = master._strang_run(rho, GP, 1.0, 0.025, 20, NATURAL.hbar)
         assert np.array_equal(ev.entries, 0.5 * (fine + fine.conj().T))
+        assert np.array_equal(ev.entries, fine)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 256, 257])
+    def test_real_route_equals_the_complex_route(self, n):
+        x = np.linspace(-8.0, 8.0, n)
+        psi = np.exp(-(x - 1.0) ** 2 / 4.0 + 1.3j * x) + np.exp(-(x + 2.0) ** 2 / 4.0)
+        rho = DensityMatrix.from_unnormalized(x, np.outer(psi, psi.conj()))
+        e = master._strang_run(rho, STRONG, 1.0, 0.05, 10, NATURAL.hbar)
+        expected = complex_strang_run(rho, STRONG, 1.0, 0.05, 10, NATURAL.hbar)
+        assert np.abs(e - expected).max() <= 1e-13 * np.abs(e).max()
+        assert np.array_equal(e, e.conj().T)
+
+    def test_roundoff_hermitian_input_evolves_its_hermitian_part(self):
+        rho = superposed_gaussians(grid(n=33), sigma=1.0, separation=4.0)
+        skew = 1e-16 * np.triu(np.random.default_rng(3).standard_normal((33, 33)), 1)
+        near = DensityMatrix(x_grid=rho.x_grid, entries=rho.entries + skew * (1 + 1j))
+        part = DensityMatrix(x_grid=rho.x_grid,
+                             entries=0.5 * (near.entries + near.entries.conj().T))
+        e = master._strang_run(near, STRONG, 1.0, 0.05, 10, NATURAL.hbar)
+        assert np.array_equal(e, master._strang_run(part, STRONG, 1.0, 0.05, 10, NATURAL.hbar))
+        expected = complex_strang_run(near, STRONG, 1.0, 0.05, 10, NATURAL.hbar)
+        assert np.abs(e - expected).max() <= 1e-13 * np.abs(e).max()
+        assert np.array_equal(e, e.conj().T)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_strang_error_against_the_exact_propagator(self, n):
+        # the exact solution on the grid: exp(t L) on vec(rho), row-major,
+        # with L = -i (H x I - I x H^T) / hbar - diag(vec Lambda)
+        from scipy.linalg import expm
+        x = np.linspace(-4.0, 4.0, n)
+        rho = superposed_gaussians(x, sigma=1.0, separation=3.0)
+        k = 2.0 * math.pi * np.fft.fftfreq(n, d=x[1] - x[0])
+        h = np.fft.ifft(k[:, None] ** 2 / 2.0 * np.fft.fft(np.eye(n), axis=0), axis=0).real
+        h = 0.5 * (h + h.T)                  # the spectral kinetic operator at M = 1
+        rate = STRONG.rate(np.abs(x[:, None] - x[None, :]))
+        eye = np.eye(n)
+        gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T)) - np.diag(rate.reshape(-1))
+        exact = (expm(gen * 0.05 * 20) @ rho.entries.reshape(-1)).reshape(n, n)
+        coarse = master._strang_run(rho, STRONG, 1.0, 0.05, 20, NATURAL.hbar)
+        fine = master._strang_run(rho, STRONG, 1.0, 0.025, 40, NATURAL.hbar)
+        coarse_err = np.abs(coarse - exact).max()
+        fine_err = np.abs(fine - exact).max()
+        # second order: halving dt quarters the error, which the halving
+        # difference (the step check's measure) then bounds
+        assert 3.9 <= coarse_err / fine_err <= 4.1
+        assert fine_err <= np.abs(fine - coarse).max() / 2.0
 
     def test_validation(self):
         rho = pure_gaussian(grid(), sigma=1.0)

@@ -41,12 +41,12 @@ def test_output_digests(tmp_path):
     assert "mc exit 0 stderr " + hashlib.sha256(b"").hexdigest() in lines
     assert any(line.startswith("mc-noise exit 3 ") for line in lines)
     assert "kernel-refused exit 2 files 0" in lines
-    assert sum(line.endswith("replay identical 3/3") for line in lines) == 5
+    assert sum(line.endswith("replay identical 3/3") for line in lines) == 6
     assert [line.split()[1] for line in lines if line.startswith("coherence_mc")] == [
         "dx=5", "dx=0.25"]
     assert [line.rsplit(" ", 1)[0] for line in lines
             if line.startswith("sample_")] == ["sample_field seed=(7,1)",
                                                "sample_phases dx=1 T=16"]
     files = [line.split() for line in lines if "/" in line.split()[0]]
-    assert len(files) == 29 and all(len(digest) == 64 for _name, digest in files)
+    assert len(files) == 32 and all(len(digest) == 64 for _name, digest in files)
     assert not list(tmp_path.iterdir())   # every output stays in a temporary directory

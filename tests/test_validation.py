@@ -178,6 +178,12 @@ REFUSALS = {
     "evolve_with_free_hamiltonian.negative_n_steps": (
         lambda tmp: evolve_with_free_hamiltonian(rho(), GrwParams(1e-4, 8.0), 1.0, 0.05, -1),
         "n_steps must be non-negative"),
+    "evolve_with_free_hamiltonian.float_n_steps": (
+        lambda tmp: evolve_with_free_hamiltonian(rho(), GrwParams(1e-4, 8.0), 1.0, 0.05, 2.0),
+        "n_steps must be an int"),
+    "evolve_with_free_hamiltonian.bool_n_steps": (
+        lambda tmp: evolve_with_free_hamiltonian(rho(), GrwParams(1e-4, 8.0), 1.0, 0.05, True),
+        "n_steps must be an int"),
     "config.line_without_equals": (
         lambda tmp: cli._load_config(_write(tmp / "run.cfg", "n_steps 1024\n")),
         "config line has no '='"),
