@@ -181,7 +181,7 @@ def _resolve(args, config: dict, specs) -> dict:
             value = default
         try:
             params[name] = value = _convert(value, typ)
-        except TypeError as exc:   # a JSON value of the wrong type
+        except (TypeError, ValueError) as exc:   # a bad value or a JSON type
             raise ValueError(f"{name}: {exc}") from exc
         if typ in (float, FLIST) and value is not None and not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value}")
@@ -421,7 +421,7 @@ def cmd_bound(params):
                           reference_bound=params["reference_bound"])
     files = {}
     if params["sweep_mass"] or params["sweep_time"] or params["sweep_loss"]:
-        rows = [(m, t, d, lambda_bound(ExperimentParams(m, t, d)))
+        rows = [(m, t, d, lambda_bound(ExperimentParams(m, t, d, params["separation"])))
                 for m in params["sweep_mass"] or [params["mass_amu"]]
                 for t in params["sweep_time"] or [params["flight_time"]]
                 for d in params["sweep_loss"] or [params["contrast_loss"]]]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -240,6 +241,50 @@ def _refuse_beyond_memory(nbytes: float, need: str) -> None:
     if nbytes > memory:
         raise ValueError(f"{need}, about {nbytes / 2**30:.3g} GiB, more than the "
                          f"{memory / 2**30:.3g} GiB of physical memory")
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_threads(calls, threads: int) -> list:
+    """The results of the argument-free ``calls`` in call order, on ``threads`` threads.
+
+    The caller and up to ``threads - 1`` helpers share the calls: thread k
+    starts on call k, the caller on call 0, then each takes the next call
+    not yet taken, so a call may write only what is its own.  The first
+    exception a call raises stops the calls not yet started, and is raised
+    once every helper has joined.
+    """
+    if not calls:
+        return []
+    results, errors = [None] * len(calls), []
+    n_threads = max(1, min(threads, len(calls)))
+    todo = iter(range(n_threads, len(calls)))
+
+    def run(k):
+        try:
+            while k is not None and not errors:
+                results[k] = calls[k]()
+                k = next(todo, None)
+        except BaseException as exc:      # raised again by the caller below
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, n_threads)]
+    try:
+        for thread in helpers:
+            thread.start()
+        run(0)
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 @functools.lru_cache(maxsize=64)

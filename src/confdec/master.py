@@ -13,14 +13,13 @@ Strang splitting with a spectral kinetic step.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import NATURAL, PhysicalConstants
 from .errors import StepTooLarge
-from .field import CorrelationModel, _is_int
+from .field import CorrelationModel, _in_threads, _is_int, _usable_cores
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-9
@@ -247,12 +246,12 @@ def evolve_with_free_hamiltonian(rho: DensityMatrix, params: GrwParams,
     density-matrix indices (periodic boundaries), and another half-step.
     The steps act on the Hermitian part of ``rho``, held in one real
     matrix, and the result is exactly Hermitian.  The result is recomputed
-    at half the step, on a helper thread while the caller runs the first;
-    if the two disagree by more than 1e-6 in max entry norm the step is too
-    coarse (``StepTooLarge``) and the caller should reduce ``dt``.  The
-    finer result is returned.  An exception in either run is raised once
-    the helper has stopped.  ``n_steps`` must be an int (a numpy int will
-    do, a ``bool`` will not).
+    at half the step; if the two disagree by more than 1e-6 in max entry
+    norm the step is too coarse (``StepTooLarge``) and the caller should
+    reduce ``dt``.  The finer result is returned.  The two runs go at once
+    through ``field._in_threads`` where the process has two usable cores,
+    and one after the other on the caller where it has one.  ``n_steps``
+    must be an int (a numpy int will do, a ``bool`` will not).
     """
     if not (0 < mass < math.inf and 0 < dt < math.inf):
         raise ValueError("mass and dt must be positive and finite")
@@ -263,25 +262,11 @@ def evolve_with_free_hamiltonian(rho: DensityMatrix, params: GrwParams,
     if n_steps == 0:
         return rho
     hbar = constants.hbar
-    fine, errors = [], []
-
-    def run_fine():
-        try:
-            fine.append(_strang_run(rho, params, mass, dt / 2.0, 2 * n_steps, hbar))
-        except BaseException as exc:      # raised again by the caller below
-            errors.append(exc)
-
     # Neither run reads the other, and FFTs and elementwise products release
     # the GIL and give the same bits on any thread, so they overlap.
-    helper = threading.Thread(target=run_fine)
-    helper.start()
-    try:
-        coarse = _strang_run(rho, params, mass, dt, n_steps, hbar)
-    finally:
-        helper.join()
-    if errors:
-        raise errors[0]
-    fine = fine[0]
+    fine, coarse = _in_threads(
+        [lambda: _strang_run(rho, params, mass, dt / 2.0, 2 * n_steps, hbar),
+         lambda: _strang_run(rho, params, mass, dt, n_steps, hbar)], _usable_cores())
     diff = np.abs(fine - coarse).max()
     if diff > _HALVING_TOL:
         raise StepTooLarge(

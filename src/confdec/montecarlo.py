@@ -36,17 +36,17 @@ ensemble of draws, and ``fit_decoherence_rate`` fits the rate by
 generalized least squares on that covariance.
 
 ``coherence_mc`` and ``sample_phases`` run their blocks of draws on every
-usable core, each thread taking the next block and writing its own rows,
-with BLAS on one thread; as that count is the whole process's, calls that
-overlap run one after the other.  The scores go through BLAS products,
+usable core through ``field._in_threads``.  The phases are summed off BLAS,
+so they reproduce with any BLAS.  The scores go through BLAS products,
 whose last bits can depend on their row count and the BLAS thread count: a
 draw in the partial last block can differ in its last bit from the same
-draw in a full block.  So the records reproduce for a fixed ``n_samples``
-and ``_BLOCK``, whatever the core or BLAS thread count, where numpy's BLAS
-is an OpenBLAS with ``openblas_set_num_threads_local``.  With any other
-BLAS the blocks run on the calling thread alone, with BLAS as it is, and
-the records reproduce for a fixed BLAS thread count too.  The phases are
-summed off BLAS, so they reproduce in every case.
+draw in a full block.  So ``coherence_mc`` holds BLAS on one thread, and
+as that count is the whole process's, calls that overlap run one after the
+other.  Its records reproduce for a fixed ``n_samples`` and ``_BLOCK``,
+whatever the core or BLAS thread count, where numpy's BLAS is an OpenBLAS
+with ``openblas_set_num_threads_local``.  With any other BLAS its blocks
+run on the calling thread alone, with BLAS as it is, and the records
+reproduce for a fixed BLAS thread count too.
 """
 from __future__ import annotations
 
@@ -54,7 +54,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import os
 import threading
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -66,8 +65,9 @@ from .core import NATURAL, PhysicalConstants
 from .errors import (FitDegenerate, InsufficientSamples, OutOfRange,
                      UndersampledSignal)
 from .field import (CorrelationModel, FieldGrid, FieldRealization,
-                    _draw_streams, _embedding, _grid_step, _is_int,
-                    _refuse_beyond_memory, _seed_entropy, embedding_spectrum)
+                    _draw_streams, _embedding, _grid_step, _in_threads, _is_int,
+                    _refuse_beyond_memory, _seed_entropy, _usable_cores,
+                    embedding_spectrum)
 
 _BLOCK = 48             # samples per synthesis batch: bounds the streams each thread holds
 _SCORE_BYTES = 32       # peak bytes per score (tracemalloc): z and one complex temporary
@@ -268,13 +268,6 @@ def accumulate_phase(realization: FieldRealization, x: float, t_final: float,
                            realization.grid, t_final, x, params)[0])
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @functools.cache
 def _blas_thread_setter():
     """OpenBLAS's ``openblas_set_num_threads_local`` as bundled with numpy, or None.
@@ -301,12 +294,12 @@ _blas_lock = threading.Lock()
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """BLAS on one thread in the block; yields the threads to run blocks on.
+    """BLAS on one thread in the block; yields the threads to score blocks on.
 
-    The BLAS thread count is the whole process's, so overlapping blocks take
-    turns on one lock: each sets the count to 1 and restores the count it
-    found.  It yields a usable core each where numpy's BLAS has the setter,
-    and 1 where it has none, leaving BLAS as it is.
+    The BLAS thread count is the whole process's, so ``coherence_mc`` calls
+    take turns on one lock: each sets the count to 1 and restores the count
+    it found.  It yields a usable core each where numpy's BLAS has the
+    setter, and 1 where it has none, leaving BLAS as it is.
     """
     with _blas_lock:
         set_threads = _blas_thread_setter()
@@ -325,41 +318,18 @@ def _each_block(params: McParams, streams, func, threads: int) -> None:
 
     ``block`` is the batch's slice of the draw indices and ``xi`` its given
     streams, ``(len(streams), b, n)``, on the grid of the longest T.  The
-    batches run on the caller and ``threads - 1`` helpers, each taking the
-    next from one shared iterator, so ``func`` may write only its own rows.
-    Run it inside ``_one_blas_thread``, which gives ``threads``, so that a
-    BLAS product sums in the same order on any thread.  The first exception
-    raised by any call stops the others at their next batch and is raised
-    once every helper has stopped, so no thread outlives the call.
+    batches share ``threads`` threads, so ``func`` may write only its rows.
     """
     grid = _mc_grid(params, max(params.t_list))
     L, amp = embedding_spectrum(params.model, grid)
-    starts, errors = range(0, params.n_samples, _BLOCK), []
-    todo = iter(starts)
 
-    def run():
-        try:
-            for start in todo:
-                if errors:
-                    return
-                stop = min(start + _BLOCK, params.n_samples)
-                func(slice(start, stop), _draw_streams(
-                    [(params.seed, j) for j in range(start, stop)],
-                    L, amp, grid.n_steps, streams))
-        except BaseException as exc:      # raised again by the caller below
-            errors.append(exc)
+    def batch(start):
+        stop = min(start + _BLOCK, params.n_samples)
+        func(slice(start, stop), _draw_streams(
+            [(params.seed, j) for j in range(start, stop)], L, amp, grid.n_steps, streams))
 
-    helpers = [threading.Thread(target=run) for _ in range(min(threads, len(starts)) - 1)]
-    try:
-        for thread in helpers:
-            thread.start()
-        run()
-    finally:
-        for thread in helpers:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
+    _in_threads([functools.partial(batch, start)
+                 for start in range(0, params.n_samples, _BLOCK)], threads)
 
 
 def sample_phases(params: McParams, t: float):
@@ -376,8 +346,7 @@ def sample_phases(params: McParams, t: float):
         for out, x in zip(phases, params.positions):
             out[block] = _phase_at(xi[0], xi[1], grid, t, x, params)
 
-    with _one_blas_thread() as threads:
-        _each_block(params, (0, 1), phase_block, threads)
+    _each_block(params, (0, 1), phase_block, _usable_cores())
     return phases[0], phases[1]
 
 

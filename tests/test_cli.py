@@ -187,6 +187,19 @@ class TestParsing:
         assert not (tmp_path / "manifest.json").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mc", "--n-samples", "abc"],
+         "n_samples: invalid literal for int() with base 10: 'abc'"),
+        (["mc", "--mass", "abc"], "mass: could not convert string to float: 'abc'"),
+        (["mc", "--t-list", "100,x"], "t_list: could not convert string to float: 'x'"),
+        (["field", "--seed", "1.5"], "seed: expected an integer, got '1.5'"),
+    ], ids=["int", "float", "float_list", "non_integral_int"])
+    def test_bad_flag_value_names_its_parameter(self, tmp_path, argv, message, capsys):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_spelling_accepted(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n-steps = 4096.0\nseed = 7\n")
@@ -686,6 +699,16 @@ class TestBoundCommand:
                           skiprows=1, ndmin=2)
         assert rows.shape == (4, 4)
         assert np.all(np.diff(np.unique(rows[:, 3])) > 0)
+
+    def test_sweep_checks_the_separation(self, tmp_path, capsys):
+        # the separation saturates the kernel at the main bound (132.9 amu,
+        # 38.70 at 300 amu without it) but not at the heavier sweep masses
+        argv = ["bound", "--separation", "2.230278221782302e-33"]
+        assert main(argv + ["--out", str(tmp_path / "main")]) == 0
+        out = tmp_path / "sweep"
+        assert main(argv + ["--sweep-mass", "132.9,300,5000", "--out", str(out)]) == 2
+        assert "does not saturate the kernel at the bound 38.6958" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_replay(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"

@@ -1,5 +1,8 @@
 import math
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from confdec.errors import IndefiniteCovariance, ResolutionError
 from confdec.field import (CorrelationModel, FieldGrid, _draw_streams, _embedding,
-                           _smooth_length, embedding_spectrum, estimate_g1, estimate_g2,
-                           odd_moment_check, sample_field)
+                           _in_threads, _smooth_length, embedding_spectrum, estimate_g1,
+                           estimate_g2, odd_moment_check, sample_field)
 
 TAU = 1.0
 DT = TAU / 8.0
@@ -403,3 +406,72 @@ class TestEstimators:
         assert est.lags[0] == 0.0
         assert est.lags[-1] == pytest.approx(2.0)
         np.testing.assert_allclose(np.diff(est.lags), DT)
+
+
+class TestInThreads:
+    def test_results_in_call_order(self):
+        # more threads than cores and a short switch interval interleave the
+        # threads often, so a call lost or made twice would show; the first
+        # calls sleep longest, so the results are placed, not appended
+        made = []
+
+        def call(k):
+            time.sleep(0.001 * max(8 - k, 0))
+            made.append(k)
+            return k
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = _in_threads([lambda k=k: call(k) for k in range(300)], 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(300))
+        assert sorted(made) == list(range(300))
+
+    def test_each_call_on_its_own_thread(self):
+        # the barrier holds every call until all four run at once, so no
+        # thread ident can be reused by a later thread
+        barrier = threading.Barrier(4)
+
+        def ident():
+            barrier.wait(timeout=30)
+            return threading.get_ident()
+
+        idents = _in_threads([ident] * 4, 8)
+        assert idents[0] == threading.get_ident()
+        assert len(set(idents)) == 4
+
+    def test_one_thread_runs_every_call_on_the_caller(self):
+        before = threading.active_count()
+        seen = _in_threads([lambda: (threading.get_ident(), threading.active_count())] * 5, 1)
+        assert seen == [(threading.get_ident(), before)] * 5
+
+    def test_an_exception_stops_the_calls_not_started(self):
+        # calls 0-2 start at once on the caller and two helpers; call 1 fails,
+        # and calls 0 and 2 return only once its helper has stopped, so both
+        # threads see the failure and take no further call; the error is
+        # raised only after helper 2 has finished call 2 and joined
+        started, finished, threads = set(), [], {}
+        barrier = threading.Barrier(3)
+
+        def call(k):
+            started.add(k)
+            threads[k] = threading.current_thread()
+            barrier.wait(timeout=30)
+            if k == 1:
+                raise RuntimeError("call 1 failed")
+            threads[1].join(30)
+            if k == 2:
+                time.sleep(0.05)
+                finished.append(k)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="call 1 failed"):
+            _in_threads([lambda k=k: call(k) for k in range(10)], 3)
+        assert started == {0, 1, 2}
+        assert finished == [2]
+        assert threading.active_count() == before
+
+    def test_no_calls(self):
+        assert _in_threads([], 4) == []

@@ -317,7 +317,9 @@ class TestSplitStep:
         ev = evolve_with_free_hamiltonian(rho, GP, mass=1.0, dt=0.1, n_steps=0)
         assert ev is rho
 
-    def test_halving_runs_on_two_threads(self, monkeypatch):
+    @staticmethod
+    def halving_threads(monkeypatch, cores):
+        """The idents of the threads that run the two halving runs on ``cores`` cores."""
         idents = []
 
         def recording_run(*args):
@@ -326,9 +328,17 @@ class TestSplitStep:
 
         strang_run = master._strang_run
         monkeypatch.setattr(master, "_strang_run", recording_run)
+        monkeypatch.setattr(master, "_usable_cores", lambda: cores)
         rho = superposed_gaussians(grid(n=64), sigma=1.0, separation=4.0)
         evolve_with_free_hamiltonian(rho, GP, mass=1.0, dt=0.05, n_steps=4)
+        return idents
+
+    def test_halving_runs_on_two_threads(self, monkeypatch):
+        idents = self.halving_threads(monkeypatch, 2)
         assert len(idents) == 2 and idents[0] != idents[1]
+
+    def test_halving_runs_on_the_caller_on_one_core(self, monkeypatch):
+        assert self.halving_threads(monkeypatch, 1) == [threading.get_ident()] * 2
 
     def test_fine_run_failure_propagates_after_join(self, monkeypatch):
         def failing_fine_run(rho, params, mass, dt, n_steps, hbar):

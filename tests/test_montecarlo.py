@@ -398,8 +398,8 @@ class TestScoringThreads:
 
     @pytest.mark.parametrize("grid", [GATE, SHORT], ids=["gate", "short"])
     def test_phases_do_not_depend_on_the_worker_count(self, monkeypatch, grid):
-        # sample_phases runs its blocks on the same threads as coherence_mc,
-        # and sums each row off BLAS, so every phase is bit-identical
+        # sample_phases sums each row off BLAS, so its blocks run on every
+        # core with any BLAS, and every phase is bit-identical
         p = default_params(n_samples=300, **grid)
         runs = []
         for workers in (1, 2, 3):
@@ -412,10 +412,20 @@ class TestScoringThreads:
             finally:
                 sys.setswitchinterval(interval)
             monkeypatch.undo()
-            pinned = montecarlo._blas_thread_setter() is not None
-            assert len(idents) <= workers and (len(idents) > 1) == (pinned and workers > 1)
+            assert len(idents) <= workers and (len(idents) > 1) == (workers > 1)
         for phases in runs[1:]:
             assert np.array_equal(phases, runs[0])
+
+    def test_phases_run_on_every_core_without_a_blas_setter(self, monkeypatch):
+        # sample_phases makes no BLAS call, so it neither needs the setter nor
+        # waits for the BLAS lock
+        p = default_params(n_samples=300, **SHORT)
+        phases = np.stack(sample_phases(p, max(p.t_list)))
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_blas_thread_setter", lambda: None)
+        idents = record_threads(monkeypatch)
+        assert np.array_equal(np.stack(sample_phases(p, max(p.t_list))), phases)
+        assert len(idents) == 2
 
     def test_records_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the 100-draw noise-dominated run of scripts/output_digests.py, whose
