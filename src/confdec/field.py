@@ -32,30 +32,23 @@ _EMBEDDING_BYTES = 56    # peak bytes per point while _embedding builds a Gaussi
 class CorrelationModel:
     """First-order correlation ``g1`` of a single stream.
 
-    kind
-        ``"gaussian"`` for ``exp(-(s/tau)^2)`` or ``"tabulated"`` for an
-        even, linearly interpolated table.
     tau
         Correlation time; sets resolution and padding requirements.
     table
-        Optional ``((lag, value), ...)`` pairs for the tabulated kind,
-        lags non-negative and strictly increasing, ``value(0) == 1``,
-        final ``|value| < 1e-6``.
+        ``None`` for the Gaussian ``exp(-(s/tau)^2)``, or ``((lag, value),
+        ...)`` pairs of an even, linearly interpolated table: lags
+        non-negative and strictly increasing, ``value(0) == 1``, final
+        ``|value| < 1e-6``.
     """
 
-    kind: str = "gaussian"
     tau: float = 1.0
     table: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "tabulated"):
-            raise ValueError(f"unknown correlation kind {self.kind!r}")
         if not 0 < self.tau < math.inf:
             raise ValueError("tau must be positive and finite")
-        if self.kind == "gaussian" and self.table is not None:
-            raise ValueError("a gaussian model takes no table")
-        if self.kind == "tabulated":
-            if self.table is None or len(self.table) < 2:
+        if self.table is not None:
+            if len(self.table) < 2:
                 raise ValueError("tabulated model needs at least two (lag, value) pairs")
             lags = np.array([p[0] for p in self.table], dtype=float)
             vals = np.array([p[1] for p in self.table], dtype=float)
@@ -72,9 +65,14 @@ class CorrelationModel:
             object.__setattr__(self, "_lags", lags)
             object.__setattr__(self, "_vals", vals)
 
+    @property
+    def kind(self) -> str:
+        """``"gaussian"`` without a table, ``"tabulated"`` with one."""
+        return "gaussian" if self.table is None else "tabulated"
+
     @classmethod
     def gaussian(cls, tau: float) -> "CorrelationModel":
-        return cls(kind="gaussian", tau=tau)
+        return cls(tau=tau)
 
     @classmethod
     def tabulated(cls, lags: Sequence[float], values: Sequence[float],
@@ -108,13 +106,13 @@ class CorrelationModel:
             if below.size == 0:
                 raise ValueError("cannot infer tau: table never drops below 1/e")
             tau = float(lags[below[0]])
-        return cls(kind="tabulated", tau=float(tau),
+        return cls(tau=float(tau),
                    table=tuple((float(l), float(v)) for l, v in zip(lags, values)))
 
     def g1(self, s):
         """Evaluate the correlation at lag ``s`` (scalar or array)."""
         s = np.abs(np.asarray(s, dtype=float))
-        if self.kind == "gaussian":
+        if self.table is None:
             out = np.exp(-((s / self.tau) ** 2))
         else:
             out = np.interp(s, self._lags, self._vals, right=0.0)
@@ -123,13 +121,13 @@ class CorrelationModel:
     @property
     def max_lag(self) -> float:
         """Lag beyond which g1 is treated as zero."""
-        if self.kind == "gaussian":
+        if self.table is None:
             return 15.0 * self.tau          # exp(-225) is far below float noise
         return self._lags[-1]
 
     def breakpoints(self):
         """Lags where g1 is not smooth (table knots; empty for gaussian)."""
-        if self.kind == "gaussian":
+        if self.table is None:
             return []
         return [float(l) for l in self._lags]
 
@@ -255,9 +253,10 @@ def _in_threads(calls, threads: int) -> list:
 
     The caller and up to ``threads - 1`` helpers share the calls: thread k
     starts on call k, the caller on call 0, then each takes the next call
-    not yet taken, so a call may write only what is its own.  The first
-    exception a call raises stops the calls not yet started, and is raised
-    once every helper has joined.
+    not yet taken.  The calls share no buffer: each returns its result, so
+    no result depends on the thread that made it.  The first exception a
+    call raises stops the calls not yet started, and is raised once every
+    helper has joined.
     """
     if not calls:
         return []

@@ -36,17 +36,8 @@ ensemble of draws, and ``fit_decoherence_rate`` fits the rate by
 generalized least squares on that covariance.
 
 ``coherence_mc`` and ``sample_phases`` run their blocks of draws on every
-usable core through ``field._in_threads``.  The phases are summed off BLAS,
-so they reproduce with any BLAS.  The scores go through BLAS products,
-whose last bits can depend on their row count and the BLAS thread count: a
-draw in the partial last block can differ in its last bit from the same
-draw in a full block.  So ``coherence_mc`` holds BLAS on one thread, and
-as that count is the whole process's, calls that overlap run one after the
-other.  Its records reproduce for a fixed ``n_samples`` and ``_BLOCK``,
-whatever the core or BLAS thread count, where numpy's BLAS is an OpenBLAS
-with ``openblas_set_num_threads_local``.  With any other BLAS its blocks
-run on the calling thread alone, with BLAS as it is, and the records
-reproduce for a fixed BLAS thread count too.
+usable core; README "Reproducibility" says why their results do not depend
+on the core or BLAS thread count.
 """
 from __future__ import annotations
 
@@ -70,7 +61,7 @@ from .field import (CorrelationModel, FieldGrid, FieldRealization,
                     embedding_spectrum)
 
 _BLOCK = 48             # samples per synthesis batch: bounds the streams each thread holds
-_SCORE_BYTES = 32       # peak bytes per score (tracemalloc): z and one complex temporary
+_SCORE_BYTES = 34       # peak bytes per score (tracemalloc): z and the block results it joins
 _GRID_MARGIN_TAUS = 2.0  # realization slack beyond the light-cone offsets
 
 
@@ -313,23 +304,22 @@ def _one_blas_thread():
             set_threads(previous)
 
 
-def _each_block(params: McParams, streams, func, threads: int) -> None:
-    """``func(block, xi)`` for each batch of ``_BLOCK`` draws keyed ``(seed, j)``.
+def _each_block(params: McParams, streams, func, threads: int) -> list:
+    """``func(xi)`` of each batch of ``_BLOCK`` draws keyed ``(seed, j)``, in batch order.
 
-    ``block`` is the batch's slice of the draw indices and ``xi`` its given
-    streams, ``(len(streams), b, n)``, on the grid of the longest T.  The
-    batches share ``threads`` threads, so ``func`` may write only its rows.
+    ``xi`` holds the batch's given streams, ``(len(streams), b, n)``, on the
+    grid of the longest T.  The batches share ``threads`` threads and no
+    buffer: each call returns its own result.
     """
     grid = _mc_grid(params, max(params.t_list))
     L, amp = embedding_spectrum(params.model, grid)
 
     def batch(start):
-        stop = min(start + _BLOCK, params.n_samples)
-        func(slice(start, stop), _draw_streams(
-            [(params.seed, j) for j in range(start, stop)], L, amp, grid.n_steps, streams))
+        keys = [(params.seed, j) for j in range(start, min(start + _BLOCK, params.n_samples))]
+        return func(_draw_streams(keys, L, amp, grid.n_steps, streams))
 
-    _in_threads([functools.partial(batch, start)
-                 for start in range(0, params.n_samples, _BLOCK)], threads)
+    return _in_threads([functools.partial(batch, start)
+                        for start in range(0, params.n_samples, _BLOCK)], threads)
 
 
 def sample_phases(params: McParams, t: float):
@@ -340,13 +330,11 @@ def sample_phases(params: McParams, t: float):
     steps up to it (``OutOfRange`` beyond).
     """
     grid = _mc_grid(params, max(params.t_list))
-    phases = np.empty((2, params.n_samples))
 
-    def phase_block(block, xi):
-        for out, x in zip(phases, params.positions):
-            out[block] = _phase_at(xi[0], xi[1], grid, t, x, params)
+    def phase_block(xi):
+        return np.array([_phase_at(*xi, grid, t, x, params) for x in params.positions])
 
-    _each_block(params, (0, 1), phase_block, _usable_cores())
+    phases = np.concatenate(_each_block(params, (0, 1), phase_block, _usable_cores()), axis=1)
     return phases[0], phases[1]
 
 
@@ -490,13 +478,12 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
     _refuse_beyond_memory(len(grids) * n * _SCORE_BYTES,
                           f"n_samples = {n} at {len(grids)} flight times need "
                           f"{len(grids) * n} scores")
-    z = np.empty((len(grids), n), dtype=complex)
 
-    def score_block(block, xi):
+    def score_block(xi):
         # a phase too large to score overflows; the scores are checked below
         with np.errstate(all="ignore"):     # the error state is per thread
-            for out, (n_steps, score) in zip(z, scorers):
-                out[block] = score(xi[0][:, :n_steps])    # a view: a copy costs time
+            # each scores a view of its prefix: a copy costs time
+            return np.array([score(xi[0][:, :n_steps]) for n_steps, score in scorers])
 
     # one BLAS thread throughout: a BLAS call on more threads leaves them
     # spinning for a while, against the scoring threads
@@ -504,7 +491,7 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
         with np.errstate(all="ignore"):
             scorers = [(grid.n_steps, _conditional_scorer(params, grid, t)[1])
                        for grid, t in zip(grids, params.t_list)]
-        _each_block(params, (1,), score_block, threads)
+        z = np.concatenate(_each_block(params, (1,), score_block, threads), axis=1)
         bad = ~np.isfinite(z).all(axis=1)
         if bad.any():
             raise UndersampledSignal(

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from confdec import io
+from confdec import cli, io
 from confdec.bounds import (CosmoSourceParams, ExperimentParams,
                             cosmological_feasibility)
 from confdec.cli import main
@@ -206,6 +206,29 @@ class TestParsing:
         assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         manifest = io.read_json(tmp_path / "o" / "manifest.json")
         assert manifest["params"]["n_steps"] == 4096
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e3", 1000), ("2.5e1", 25), ("1000.0", 1000), ("-2E2", -200),
+        ("18446744073709551615", 2**64 - 1),
+        ("123456789012345678901234567890", 123456789012345678901234567890),
+    ], ids=["exponent", "fraction_exponent", "point", "signed", "seed_max", "beyond_float"])
+    def test_integral_spellings_read_exactly(self, text, value):
+        assert cli._convert(text, int) == value
+        assert type(cli._convert(text, int)) is int
+
+    @pytest.mark.parametrize("text", ["1e-3", "1.5", "nan", "inf"])
+    def test_non_integral_spellings_refused(self, tmp_path, text, capsys):
+        out = tmp_path / "o"
+        assert main(["mc", "--n-samples", text, "--out", str(out)]) == 2
+        assert f"n_samples: expected an integer, got '{text}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exponent_n_samples_and_largest_seed_run(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["mc", "--n-samples", "1e3", "--seed", str(2**64 - 1),
+                     "--out", str(out)]) == 0
+        params = io.read_json(out / "manifest.json")["params"]
+        assert (params["n_samples"], params["seed"]) == (1000, 2**64 - 1)
 
     @pytest.mark.parametrize("name, text, message", [
         ("typo.cfg", "n_step = 1024\n", "n_step"),

@@ -311,9 +311,8 @@ class TestSampling:
         np.testing.assert_allclose((np.abs(spec) ** 2) @ weights, quad, rtol=1e-12)
 
     def test_indefinite_table_rejected(self):
-        m = CorrelationModel(kind="tabulated", tau=1.0,
-                             table=((0.0, 1.0), (1.0, -0.9), (2.0, 0.8),
-                                    (3.0, -0.6), (4.0, 0.0)))
+        m = CorrelationModel(tau=1.0, table=((0.0, 1.0), (1.0, -0.9), (2.0, 0.8),
+                                             (3.0, -0.6), (4.0, 0.0)))
         with pytest.raises(IndefiniteCovariance):
             embedding_spectrum(m, FieldGrid(dt=0.125, n_steps=256))
 

@@ -416,6 +416,23 @@ class TestScoringThreads:
         for phases in runs[1:]:
             assert np.array_equal(phases, runs[0])
 
+    def test_each_block_returns_its_results_in_block_order(self):
+        # one result per block of _BLOCK keyed draws, the short last block
+        # included, in block order and bit-identical on one and two threads
+        block = montecarlo._BLOCK
+        p = default_params(n_samples=2 * block + 5, **SHORT)
+        grid = long_grid(p)
+        runs = [montecarlo._each_block(p, (1,), lambda xi: xi[0], threads)
+                for threads in (1, 2)]
+        for results in runs:
+            assert [r.shape for r in results] == [(b, grid.n_steps) for b in (block, block, 5)]
+            for k, minus in enumerate(results):
+                for j in (0, len(minus) - 1):
+                    key = (p.seed, k * block + j)
+                    assert np.array_equal(minus[j], sample_field(p.model, grid, key).xi_minus)
+        for one, two in zip(*runs):
+            assert np.array_equal(one, two)
+
     def test_phases_run_on_every_core_without_a_blas_setter(self, monkeypatch):
         # sample_phases makes no BLAS call, so it neither needs the setter nor
         # waits for the BLAS lock

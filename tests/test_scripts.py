@@ -50,3 +50,12 @@ def test_output_digests(tmp_path):
     files = [line.split() for line in lines if "/" in line.split()[0]]
     assert len(files) == 32 and all(len(digest) == 64 for _name, digest in files)
     assert not list(tmp_path.iterdir())   # every output stays in a temporary directory
+
+
+def test_code_lines(tmp_path):
+    lines = run("code_lines.py", cwd=tmp_path).splitlines()
+    *modules, total = [line.split() for line in lines]
+    package = SCRIPTS.parent / "src" / "confdec"
+    assert [name for _count, name in modules] == sorted(p.name for p in package.glob("*.py"))
+    assert all(count.isdigit() for count, _name in modules)
+    assert total == [str(sum(int(count) for count, _name in modules)), "total"]

@@ -1,4 +1,5 @@
 """Library-wide validation: NaN and infinite inputs, and the CLI's mapping of error types."""
+import dataclasses
 import math
 
 import numpy as np
@@ -141,18 +142,10 @@ REFUSALS = {
     "accumulate_phase.zero_t_final": (
         lambda tmp: accumulate_phase(_zero_realization(), 0.0, 0.0, mc_params()),
         "t_final must be at least one step"),
-    "CorrelationModel.unknown_kind": (
-        lambda tmp: CorrelationModel(kind="lorentzian"), "unknown correlation kind"),
-    "CorrelationModel.gaussian_with_table": (
-        lambda tmp: CorrelationModel(kind="gaussian", tau=1.0,
-                                     table=((0.0, 1.0), (1.0, 0.0))),
-        "takes no table"),
     "CorrelationModel.one_pair": (
-        lambda tmp: CorrelationModel(kind="tabulated", table=((0.0, 1.0),)),
-        "at least two"),
+        lambda tmp: CorrelationModel(table=((0.0, 1.0),)), "at least two"),
     "CorrelationModel.no_decay": (
-        lambda tmp: CorrelationModel(kind="tabulated", table=((0.0, 1.0), (1.0, 1e-6))),
-        "table must decay"),
+        lambda tmp: CorrelationModel(table=((0.0, 1.0), (1.0, 1e-6))), "table must decay"),
     "CorrelationModel.tabulated_shapes": (
         lambda tmp: CorrelationModel.tabulated([0.0, 1.0, 2.0], [1.0, 0.0]),
         "equal length"),
@@ -194,6 +187,15 @@ REFUSALS = {
 def test_refused(tmp_path, build, message):
     with pytest.raises(ValueError, match=message):
         build(tmp_path)
+
+
+def test_correlation_kind_is_not_a_parameter():
+    # the kind follows from the table, so a model holds only tau and table
+    assert [f.name for f in dataclasses.fields(CorrelationModel)] == ["tau", "table"]
+    with pytest.raises(TypeError, match="kind"):
+        CorrelationModel(kind="gaussian")
+    assert CorrelationModel().kind == "gaussian"
+    assert CorrelationModel(table=((0.0, 1.0), (1.0, 0.0))).kind == "tabulated"
 
 
 def test_numpy_int_counts_accepted():
