@@ -21,6 +21,7 @@ output and a manifest that replays it.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -146,6 +147,9 @@ def _convert(value, typ):
             return int(value)           # no number at all: int() names it
         if not number.is_integer():     # NaN and the infinities too
             raise ValueError(f"expected an integer, got {value!r}")
+        if isinstance(value, str) and decimal.Decimal(value) != decimal.Decimal(number):
+            raise ValueError(f"{value!r} rounds to {int(number)} as a float; write the "
+                             "integer in plain digits")
         return int(number)
     return typ(value)
 

@@ -380,29 +380,45 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     as ``g_E``, as two more rows next to ``C_{E,:}``.
     Coincident positions give v = 0 and sigma^2 = 0: then u = 0 and the
     score is z(m).
+
+    The band.  Let ``reach`` be 1 plus the last lag k < n with ``|C[k, 0]| >
+    eps C[0, 0]`` (49 steps, about 6 tau, for the Gaussian at dt = tau/8).
+    The projection reads h only on the columns within ``2 reach + shift``
+    of E, with ``shift`` the largest offset ``|plus - minus|`` between a
+    position's windows: a row of ``C_{E,:}`` is at most eps C[0, 0] beyond
+    ``reach`` of its edge, and so is k_u beyond the band, since u lies
+    within ``reach`` of E_m, ``h_u`` within ``shift`` more of E and
+    ``C h_u`` within ``reach`` more.  So the band drops only terms at the
+    roundoff of the full sums.  A covariance that never falls below eps
+    keeps every column.
     """
     n, a0 = grid.n_steps, params.a0
     scale = _phase_scale(params, grid.dt)
     # the phase difference is phi(x') - phi(x): position x enters with sign -1
-    signed = [(sign, *_windows(grid, t, x, params.constants.c))
-              for sign, x in zip((-1.0, 1.0), params.positions)]
-    k_t = signed[0][1]
+    windows = [_windows(grid, t, x, params.constants.c) for x in params.positions]
+    L, _amp, row, eig = _embedding(params.model, grid.dt, n)
+    k_t = windows[0][0]
     w = _trapezoid(k_t)
 
     def carry(m):       # the weighted, signed minus windows of m, moved onto the plus ones
-        out = np.zeros_like(m)
-        for sign, _k_t, plus, minus in signed:
-            out[..., plus:plus + k_t + 1] += sign * w * m[..., minus:minus + k_t + 1]
+        out = np.zeros((m.shape[0], L))     # padded for rfft
+        for sign, (_k_t, plus, minus) in zip((-1.0, 1.0), windows):
+            out[:, plus:plus + k_t + 1] += sign * w * m[:, minus:minus + k_t + 1]
         return out
 
-    plus_w, minus_w = carry(np.ones(n)), np.zeros(n)
-    for sign, _k_t, _plus, minus in signed:
+    plus_w, minus_w = carry(np.ones((1, n)))[0, :n], np.zeros(n)
+    for sign, (_k_t, _plus, minus) in zip((-1.0, 1.0), windows):
         minus_w[minus:minus + k_t + 1] += sign * w
     edge = np.flatnonzero(plus_w)
+    reach = np.flatnonzero(np.abs(row[:n]) > np.finfo(float).eps * row[0])[-1] + 1
+    band = 2 * reach + max(abs(plus - minus) for _k_t, plus, minus in windows)
+    edges_below = np.concatenate(([0], np.cumsum(plus_w != 0.0)))
+    j = np.arange(n)
+    cols = np.flatnonzero(edges_below[np.minimum(j + band + 1, n)]
+                          > edges_below[np.maximum(j - band, 0)])
     d_edge = 0.5 * scale * a0**2 * plus_w[edge]
-    L, _amp, row, eig = _embedding(params.model, grid.dt, n)
-    c_edge = row[np.abs(edge[:, None] - np.arange(n))]     # C_{E,:}
-    m_ee = np.eye(edge.size) - 2.0j * d_edge[:, None] * c_edge[:, edge]
+    c_edge = row[np.abs(edge[:, None] - cols)]      # C_{E,cols}
+    m_ee = np.eye(edge.size) - 2.0j * d_edge[:, None] * row[np.abs(edge[:, None] - edge)]
     det_factor = math.exp(-0.5 * np.linalg.slogdet(m_ee).logabsdet)
     # ((-2i D_E)^-1 + C_EE)^-1 = (I - 2i D_E C_EE)^-1 (-2i D_E)
     woodbury = np.linalg.solve(m_ee, np.diag(-2.0j * d_edge))
@@ -410,13 +426,15 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     edge_m = np.flatnonzero(minus_w)
     v = scale * a0 * minus_w[edge_m]
     q = 0.5 * a0 * v        # the diagonal of Q
-    cv = v @ row[np.abs(edge_m[:, None] - np.arange(n))]   # C v
+    cv = v @ row[np.abs(edge_m[:, None] - j)]   # C v
     sigma2 = float(v @ cv[edge_m])
     u = cv / sigma2 if sigma2 > 0.0 else cv
     qu = q * u[edge_m]
-    h_0, h_u = scale * a0 * plus_w, scale * a0**2 * carry(u)     # h(0), h(u) - h(0)
+    h_0 = scale * a0 * plus_w[edge]                 # h(0), zero off E
+    h_u = scale * a0**2 * carry(u[None])[0]     # h(u) - h(0)
     # K(h, h_u) = h.k_u: k_u = C h_u - C_{E,:}^T W g_u, with C h_u by the FFT
-    c_h_u = np.fft.irfft(eig * np.fft.rfft(h_u, n=L), n=L)[:n]
+    c_h_u = np.fft.irfft(eig * np.fft.rfft(h_u), n=L)[cols]
+    h_u = h_u[cols]
     w_g_u = woodbury @ (c_edge @ h_u)
     k_u = c_h_u - w_g_u.real @ c_edge - 1j * (w_g_u.imag @ c_edge)
     project = np.vstack([c_edge, k_u.real, k_u.imag])     # rows: C_{E,:}, Re k_u, Im k_u
@@ -432,9 +450,11 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     def score(m):
         h = carry(m)
         h *= scale * a0**2
-        h += h_0
-        ri = np.fft.rfft(h, n=L, axis=-1).view(np.float64)
-        proj = h @ project.T
+        h[:, edge] += h_0
+        ri = np.fft.rfft(h, axis=-1).view(np.float64)
+        # take, not h[:, cols]: that copy is F-ordered, and BLAS sums one of a
+        # few rows in another order than the C-ordered rows of the full h
+        proj = h.take(cols, axis=1) @ project.T
         g, k_h_u = proj[:, :-2], proj[:, -2] + 1j * proj[:, -1]
         m_edge = m[:, edge_m]
         s = m_edge @ v

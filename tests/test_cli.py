@@ -211,7 +211,9 @@ class TestParsing:
         ("1e3", 1000), ("2.5e1", 25), ("1000.0", 1000), ("-2E2", -200),
         ("18446744073709551615", 2**64 - 1),
         ("123456789012345678901234567890", 123456789012345678901234567890),
-    ], ids=["exponent", "fraction_exponent", "point", "signed", "seed_max", "beyond_float"])
+        ("9007199254740992e0", 2**53), ("1e22", 10**22),
+    ], ids=["exponent", "fraction_exponent", "point", "signed", "seed_max", "beyond_float",
+            "exponent_2_53", "exponent_exact_double"])
     def test_integral_spellings_read_exactly(self, text, value):
         assert cli._convert(text, int) == value
         assert type(cli._convert(text, int)) is int
@@ -221,6 +223,20 @@ class TestParsing:
         out = tmp_path / "o"
         assert main(["mc", "--n-samples", text, "--out", str(out)]) == 2
         assert f"n_samples: expected an integer, got '{text}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, text, rounded", [
+        ("--seed", "9007199254740993e0", 2**53), ("--seed", "9007199254740993.0", 2**53),
+        ("--n-samples", "1e23", 10**23 - 8388608),
+    ], ids=["seed_exponent", "seed_point", "n_samples_exponent"])
+    def test_spellings_a_float_rounds_refused(self, tmp_path, flag, text, rounded, capsys):
+        # a point or exponent spelling is read through a float, so one the
+        # float would round is refused rather than keyed as another value
+        out = tmp_path / "o"
+        assert main(["mc", flag, text, "--out", str(out)]) == 2
+        name = flag[2:].replace("-", "_")
+        assert (f"{name}: '{text}' rounds to {rounded} as a float; write the integer "
+                "in plain digits") in capsys.readouterr().err
         assert not out.exists()
 
     def test_exponent_n_samples_and_largest_seed_run(self, tmp_path):

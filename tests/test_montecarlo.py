@@ -13,8 +13,8 @@ from confdec import montecarlo
 from confdec.core import NATURAL
 from confdec.errors import (FitDegenerate, InsufficientSamples, OutOfRange,
                             UndersampledSignal)
-from confdec.field import (FieldGrid, FieldRealization, embedding_spectrum,
-                           sample_field)
+from confdec.field import (FieldGrid, FieldRealization, _embedding,
+                           embedding_spectrum, sample_field)
 from confdec.montecarlo import (CoherenceEstimate, CoherenceRecord, McParams,
                                 _conditional_scorer, _mc_grid, accumulate_phase,
                                 coherence_mc, fit_decoherence_rate, sample_phases)
@@ -353,6 +353,41 @@ class TestSampling:
         assert [r.t for r in est.records] == [16.0, 32.0]
         assert all(r.n_samples == 128 for r in est.records)
         assert all(0.0 < abs(r.mean) <= 1.0 for r in est.records)
+
+
+def scorer_arrays(score) -> dict:
+    """The values the scorer ``score`` holds, by name."""
+    return {name: cell.cell_contents
+            for name, cell in zip(score.__code__.co_freevars, score.__closure__)}
+
+
+class TestBandedScorer:
+    @pytest.mark.parametrize("positions, t", [
+        ((0.0, 5.0), 100.0), ((5.0, 0.0), 100.0), ((-3.0, 2.0), 100.0),
+        ((-3.0, 3.0), 100.0), ((0.0, 5.0), 400.0), ((0.0, 0.25), 100.0)])
+    def test_band_drops_only_roundoff(self, positions, t):
+        # rebuild the dense C_{E,:} and k_u = C h_u - C_{E,:}^T W g_u over all
+        # n columns: what the band drops is at most eps C[0, 0] of C_{E,:}
+        # and 1e-15 of max |k_u|, and the kept k_u is the projection's
+        p = default_params(positions=positions, t_list=(t,))
+        grid = _mc_grid(p, t)
+        n = grid.n_steps
+        held = scorer_arrays(_conditional_scorer(p, grid, t)[1])
+        L, _amp, row, eig = _embedding(p.model, grid.dt, n)
+        nodes = np.arange(n)
+        u = held["v"] @ row[np.abs(held["edge_m"][:, None] - nodes)] / held["sigma2"]
+        h_u = held["scale"] * p.a0**2 * held["carry"](u[None])[0, :n]
+        c_edge = row[np.abs(held["edge"][:, None] - nodes)]
+        k_u = (np.fft.irfft(eig * np.fft.rfft(h_u, n=L), n=L)[:n]
+               - (held["woodbury"] @ (c_edge @ h_u)) @ c_edge)
+        cols = held["cols"]
+        dropped = np.setdiff1d(nodes, cols)
+        assert dropped.size >= 100
+        assert np.abs(c_edge[:, dropped]).max() <= np.finfo(float).eps * row[0]
+        assert np.abs(k_u[dropped]).max() <= 1e-15 * np.abs(k_u).max()
+        np.testing.assert_array_equal(held["project"][:-2], c_edge[:, cols])
+        np.testing.assert_allclose(held["project"][-2] + 1j * held["project"][-1],
+                                   k_u[cols], rtol=0.0, atol=1e-15 * np.abs(k_u).max())
 
 
 # the grids of the benchmark's mc-gate and mc-short workloads

@@ -1,5 +1,6 @@
 """Smoke tests: each script under scripts/ runs and agrees with the library."""
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +60,19 @@ def test_code_lines(tmp_path):
     assert [name for _count, name in modules] == sorted(p.name for p in package.glob("*.py"))
     assert all(count.isdigit() for count, _name in modules)
     assert total == [str(sum(int(count) for count, _name in modules)), "total"]
+
+
+def test_mc_stages(tmp_path):
+    stdout = run("mc_stages.py", "--n-samples", "100", "--repeats", "1", cwd=tmp_path)
+    result = json.loads(stdout.splitlines()[-1])
+    assert list(result) == ["mc-gate", "mc-short"]
+    for stages in result.values():
+        assert set(stages) == {"dx", "t_list", "n_samples", "draws_us", "score_us",
+                               "setup_us"}
+        assert stages["n_samples"] == 100 and len(stages["t_list"]) == 4
+        for by_t in (stages["score_us"], stages["setup_us"]):
+            assert list(by_t) == [f"{t:g}" for t in stages["t_list"]]
+        figures = [stages["draws_us"], *stages["score_us"].values(),
+                   *stages["setup_us"].values()]
+        assert all(isinstance(x, float) and x > 0.0 for x in figures)
+    assert not list(tmp_path.iterdir())
