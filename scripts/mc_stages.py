@@ -57,12 +57,11 @@ def stages(params: McParams, repeats: int) -> dict:
               for start in range(0, n, montecarlo._BLOCK)]
     rounds = {"draws_us": [], "score_us": [], "setup_us": []}
     for _ in range(repeats):
-        setup, scorers = zip(*(timed(lambda g=g, t=t: montecarlo._conditional_scorer(
-            params, g, t)[1]) for g, t in zip(grids, params.t_list)))
+        setup, scorers = zip(*(timed(lambda t=t: montecarlo._ConditionalScorer(params, t))
+                               for t in params.t_list))
         draw, minus = timed(lambda: [_draw_streams(keys, L, amp, grids[-1].n_steps, (1,))[0]
                                      for keys in blocks])
-        score, _z = zip(*(timed(lambda g=g, f=f: [f(m[:, :g.n_steps]) for m in minus])
-                          for g, f in zip(grids, scorers)))
+        score, _z = zip(*(timed(lambda f=f: [f(m) for m in minus]) for f in scorers))
         rounds["draws_us"].append(draw)
         rounds["score_us"].append(score)
         rounds["setup_us"].append(setup)

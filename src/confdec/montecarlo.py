@@ -338,12 +338,12 @@ def sample_phases(params: McParams, t: float):
     return phases[0], phases[1]
 
 
-def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
-    """``(1 - 2 gamma sigma^2, score)`` at flight time ``t`` on ``grid``.
+class _ConditionalScorer:
+    """``E[exp(i dphi) | m_perp]`` at flight time ``t``, on T's own grid.
 
-    ``score(m)`` gives ``E[exp(i dphi) | m_perp]`` for each row of a block of
-    minus streams m (stream 1 of the draw keys).  Two Gaussian integrals are
-    done in closed form.
+    ``scorer(m)`` scores each row of a block of minus streams m (stream 1
+    of the draw keys) on the prefix ``m[:, :n]`` that T's grid spans.  Two
+    Gaussian integrals are done in closed form.
 
     The plus stream.  Given m, the phase difference is ``const(m) + h(m).p
     + p^T diag(D) p`` in the plus stream ``p ~ N(0, C)``, with C the clipped
@@ -391,81 +391,96 @@ def _conditional_scorer(params: McParams, grid: FieldGrid, t: float):
     ``C h_u`` within ``reach`` more.  So the band drops only terms at the
     roundoff of the full sums.  A covariance that never falls below eps
     keeps every column.
-    """
-    n, a0 = grid.n_steps, params.a0
-    scale = _phase_scale(params, grid.dt)
-    # the phase difference is phi(x') - phi(x): position x enters with sign -1
-    windows = [_windows(grid, t, x, params.constants.c) for x in params.positions]
-    L, _amp, row, eig = _embedding(params.model, grid.dt, n)
-    k_t = windows[0][0]
-    w = _trapezoid(k_t)
 
-    def carry(m):       # the weighted, signed minus windows of m, moved onto the plus ones
-        out = np.zeros((m.shape[0], L))     # padded for rfft
-        for sign, (_k_t, plus, minus) in zip((-1.0, 1.0), windows):
-            out[:, plus:plus + k_t + 1] += sign * w * m[:, minus:minus + k_t + 1]
+    The setup keeps, per T: the grid's ``n`` nodes and embedding length
+    ``L``; the ``windows`` of ``_windows`` (x's first) and their trapezoid
+    weights ``w``; the edge sets ``edge`` (E) and ``edge_m`` (E_m); the
+    band's ``cols``; ``project``, whose rows are C_{E,cols}, Re k_u and
+    Im k_u; the ``woodbury`` matrix W; ``parseval_ri``, the Parseval
+    weights on the interleaved (re, im) of ``rfft(h, n=L)``; ``v``, the
+    diagonal ``q`` of Q and ``qu = Q u`` on E_m; ``h_0 = h(0)`` on E and
+    ``h_scale``, the factor of ``carry`` in h; ``sigma2``, ``gamma``,
+    ``spread = 1 - 2 gamma sigma^2`` and ``factor``, the determinant
+    factor over the root of ``spread``.  A call writes none of them, so
+    threads can share one scorer.
+    """
+
+    def __init__(self, params: McParams, t: float):
+        grid = _mc_grid(params, t)
+        self.n = n = grid.n_steps
+        a0, scale = params.a0, _phase_scale(params, grid.dt)
+        self.h_scale = scale * a0**2
+        # the phase difference is phi(x') - phi(x): position x enters with sign -1
+        self.windows = [_windows(grid, t, x, params.constants.c) for x in params.positions]
+        self.L, _amp, row, eig = _embedding(params.model, grid.dt, n)
+        self.w = _trapezoid(self.windows[0][0])
+        plus_w, minus_w = self.carry(np.ones((1, n)))[0, :n], np.zeros(n)
+        for sign, (k_t, _plus, minus) in zip((-1.0, 1.0), self.windows):
+            minus_w[minus:minus + k_t + 1] += sign * self.w
+        self.edge = edge = np.flatnonzero(plus_w)
+        reach = np.flatnonzero(np.abs(row[:n]) > np.finfo(float).eps * row[0])[-1] + 1
+        band = 2 * reach + max(abs(plus - minus) for _k_t, plus, minus in self.windows)
+        edges_below = np.concatenate(([0], np.cumsum(plus_w != 0.0)))
+        j = np.arange(n)
+        self.cols = cols = np.flatnonzero(edges_below[np.minimum(j + band + 1, n)]
+                                          > edges_below[np.maximum(j - band, 0)])
+        d_edge = 0.5 * scale * a0**2 * plus_w[edge]
+        c_edge = row[np.abs(edge[:, None] - cols)]      # C_{E,cols}
+        m_ee = np.eye(edge.size) - 2.0j * d_edge[:, None] * row[np.abs(edge[:, None] - edge)]
+        det_factor = math.exp(-0.5 * np.linalg.slogdet(m_ee).logabsdet)
+        # ((-2i D_E)^-1 + C_EE)^-1 = (I - 2i D_E C_EE)^-1 (-2i D_E)
+        self.woodbury = np.linalg.solve(m_ee, np.diag(-2.0j * d_edge))
+
+        self.edge_m = edge_m = np.flatnonzero(minus_w)
+        self.v = v = scale * a0 * minus_w[edge_m]
+        self.q = 0.5 * a0 * v       # the diagonal of Q
+        cv = v @ row[np.abs(edge_m[:, None] - j)]   # C v
+        self.sigma2 = sigma2 = float(v @ cv[edge_m])
+        u = cv / sigma2 if sigma2 > 0.0 else cv
+        self.qu = self.q * u[edge_m]
+        self.h_0 = scale * a0 * plus_w[edge]            # h(0), zero off E
+        h_u = self.h_scale * self.carry(u[None])[0]     # h(u) - h(0)
+        # K(h, h_u) = h.k_u: k_u = C h_u - C_{E,:}^T W g_u, with C h_u by the FFT
+        c_h_u = np.fft.irfft(eig * np.fft.rfft(h_u), n=self.L)[cols]
+        h_u = h_u[cols]
+        w_g_u = self.woodbury @ (c_edge @ h_u)
+        k_u = c_h_u - w_g_u.real @ c_edge - 1j * (w_g_u.imag @ c_edge)
+        self.project = np.vstack([c_edge, k_u.real, k_u.imag])  # rows: C_{E,:}, Re k_u, Im k_u
+        # h^T C h = sum_j parseval_j |rfft(h, n=L)_j|^2, on the interleaved (re, im)
+        parseval = np.full(eig.size, 2.0 / self.L) * eig
+        parseval[[0, -1]] *= 0.5
+        self.parseval_ri = np.repeat(parseval, 2)
+
+        self.gamma = 1j * (self.qu @ u[edge_m]) - 0.5 * (h_u @ k_u)
+        self.spread = 1.0 - 2.0 * self.gamma * sigma2
+        self.factor = det_factor * self.spread**-0.5
+
+    def carry(self, m):
+        """The weighted, signed minus windows of m, moved onto the plus ones, padded to L."""
+        out = np.zeros((m.shape[0], self.L))
+        for sign, (k_t, plus, minus) in zip((-1.0, 1.0), self.windows):
+            out[:, plus:plus + k_t + 1] += sign * self.w * m[:, minus:minus + k_t + 1]
         return out
 
-    plus_w, minus_w = carry(np.ones((1, n)))[0, :n], np.zeros(n)
-    for sign, (_k_t, _plus, minus) in zip((-1.0, 1.0), windows):
-        minus_w[minus:minus + k_t + 1] += sign * w
-    edge = np.flatnonzero(plus_w)
-    reach = np.flatnonzero(np.abs(row[:n]) > np.finfo(float).eps * row[0])[-1] + 1
-    band = 2 * reach + max(abs(plus - minus) for _k_t, plus, minus in windows)
-    edges_below = np.concatenate(([0], np.cumsum(plus_w != 0.0)))
-    j = np.arange(n)
-    cols = np.flatnonzero(edges_below[np.minimum(j + band + 1, n)]
-                          > edges_below[np.maximum(j - band, 0)])
-    d_edge = 0.5 * scale * a0**2 * plus_w[edge]
-    c_edge = row[np.abs(edge[:, None] - cols)]      # C_{E,cols}
-    m_ee = np.eye(edge.size) - 2.0j * d_edge[:, None] * row[np.abs(edge[:, None] - edge)]
-    det_factor = math.exp(-0.5 * np.linalg.slogdet(m_ee).logabsdet)
-    # ((-2i D_E)^-1 + C_EE)^-1 = (I - 2i D_E C_EE)^-1 (-2i D_E)
-    woodbury = np.linalg.solve(m_ee, np.diag(-2.0j * d_edge))
-
-    edge_m = np.flatnonzero(minus_w)
-    v = scale * a0 * minus_w[edge_m]
-    q = 0.5 * a0 * v        # the diagonal of Q
-    cv = v @ row[np.abs(edge_m[:, None] - j)]   # C v
-    sigma2 = float(v @ cv[edge_m])
-    u = cv / sigma2 if sigma2 > 0.0 else cv
-    qu = q * u[edge_m]
-    h_0 = scale * a0 * plus_w[edge]                 # h(0), zero off E
-    h_u = scale * a0**2 * carry(u[None])[0]     # h(u) - h(0)
-    # K(h, h_u) = h.k_u: k_u = C h_u - C_{E,:}^T W g_u, with C h_u by the FFT
-    c_h_u = np.fft.irfft(eig * np.fft.rfft(h_u), n=L)[cols]
-    h_u = h_u[cols]
-    w_g_u = woodbury @ (c_edge @ h_u)
-    k_u = c_h_u - w_g_u.real @ c_edge - 1j * (w_g_u.imag @ c_edge)
-    project = np.vstack([c_edge, k_u.real, k_u.imag])     # rows: C_{E,:}, Re k_u, Im k_u
-    # h^T C h = sum_j parseval_j |rfft(h, n=L)_j|^2, on the interleaved (re, im)
-    parseval = np.full(eig.size, 2.0 / L) * eig
-    parseval[[0, -1]] *= 0.5
-    parseval_ri = np.repeat(parseval, 2)
-
-    gamma = 1j * (qu @ u[edge_m]) - 0.5 * (h_u @ k_u)
-    spread = 1.0 - 2.0 * gamma * sigma2
-    factor = det_factor * spread**-0.5
-
-    def score(m):
-        h = carry(m)
-        h *= scale * a0**2
-        h[:, edge] += h_0
+    def __call__(self, m):
+        m = m[:, :self.n]      # a view of the prefix: a copy costs time
+        h = self.carry(m)
+        h *= self.h_scale
+        h[:, self.edge] += self.h_0
         ri = np.fft.rfft(h, axis=-1).view(np.float64)
         # take, not h[:, cols]: that copy is F-ordered, and BLAS sums one of a
         # few rows in another order than the C-ordered rows of the full h
-        proj = h.take(cols, axis=1) @ project.T
+        proj = h.take(self.cols, axis=1) @ self.project.T
         g, k_h_u = proj[:, :-2], proj[:, -2] + 1j * proj[:, -1]
-        m_edge = m[:, edge_m]
-        s = m_edge @ v
-        log_z = 1j * (s + (m_edge * m_edge) @ q) - 0.5 * (
-            np.einsum("ij,ij,j->i", ri, ri, parseval_ri) - ((g @ woodbury) * g).sum(axis=-1))
+        m_edge = m[:, self.edge_m]
+        s = m_edge @ self.v
+        log_z = 1j * (s + (m_edge * m_edge) @ self.q) - 0.5 * (
+            np.einsum("ij,ij,j->i", ri, ri, self.parseval_ri)
+            - ((g @ self.woodbury) * g).sum(axis=-1))
         # the slope of log z along u at m, moved back to m_perp = m - s u
-        beta = 1j + 2j * (m_edge @ qu) - k_h_u - 2.0 * gamma * s
-        alpha = log_z - (beta + gamma * s) * s
-        return factor * np.exp(alpha + 0.5 * sigma2 * beta * beta / spread)
-
-    return spread, score
+        beta = 1j + 2j * (m_edge @ self.qu) - k_h_u - 2.0 * self.gamma * s
+        alpha = log_z - (beta + self.gamma * s) * s
+        return self.factor * np.exp(alpha + 0.5 * self.sigma2 * beta * beta / self.spread)
 
 
 def coherence_mc(params: McParams) -> CoherenceEstimate:
@@ -477,7 +492,7 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
     grid starts at the same node).  Only the minus stream is drawn: each
     draw is scored as its exact conditional coherence ``z_j = E[exp(i dphi)
     | m_perp]``, the plus stream and the linear direction of the minus
-    stream integrated in closed form (``_conditional_scorer``; conditional
+    stream integrated in closed form (``_ConditionalScorer``; conditional
     Monte Carlo, or Rao-Blackwellization).  The mean of ``z_j`` is unbiased
     for the coherence, with a smaller variance than ``exp(i dphi)`` of the
     draws.  Each T's scorer uses the covariance of its own grid's
@@ -493,24 +508,20 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
     if params.n_samples < 100:
         raise InsufficientSamples(
             f"n_samples = {params.n_samples} < 100 gives meaningless statistics")
-    n = params.n_samples
-    grids = [_mc_grid(params, t) for t in params.t_list]
-    _refuse_beyond_memory(len(grids) * n * _SCORE_BYTES,
-                          f"n_samples = {n} at {len(grids)} flight times need "
-                          f"{len(grids) * n} scores")
+    n, n_t = params.n_samples, len(params.t_list)
+    _refuse_beyond_memory(n_t * n * _SCORE_BYTES,
+                          f"n_samples = {n} at {n_t} flight times need {n_t * n} scores")
 
     def score_block(xi):
         # a phase too large to score overflows; the scores are checked below
         with np.errstate(all="ignore"):     # the error state is per thread
-            # each scores a view of its prefix: a copy costs time
-            return np.array([score(xi[0][:, :n_steps]) for n_steps, score in scorers])
+            return np.array([score(xi[0]) for score in scorers])
 
     # one BLAS thread throughout: a BLAS call on more threads leaves them
     # spinning for a while, against the scoring threads
     with _one_blas_thread() as threads:
         with np.errstate(all="ignore"):
-            scorers = [(grid.n_steps, _conditional_scorer(params, grid, t)[1])
-                       for grid, t in zip(grids, params.t_list)]
+            scorers = [_ConditionalScorer(params, t) for t in params.t_list]
         z = np.concatenate(_each_block(params, (1,), score_block, threads), axis=1)
         bad = ~np.isfinite(z).all(axis=1)
         if bad.any():
