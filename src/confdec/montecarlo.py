@@ -434,13 +434,14 @@ class _ConditionalScorer:
         self.edge_m = edge_m = np.flatnonzero(minus_w)
         self.v = v = scale * a0 * minus_w[edge_m]
         self.q = 0.5 * a0 * v       # the diagonal of Q
-        cv = v @ row[np.abs(edge_m[:, None] - j)]   # C v
+        # C v and C h_u both by the FFT, on vectors zero-padded to L
+        cv = np.fft.irfft(eig * np.fft.rfft(scale * a0 * minus_w, n=self.L), n=self.L)[:n]
         self.sigma2 = sigma2 = float(v @ cv[edge_m])
         u = cv / sigma2 if sigma2 > 0.0 else cv
         self.qu = self.q * u[edge_m]
         self.h_0 = scale * a0 * plus_w[edge]            # h(0), zero off E
         h_u = self.h_scale * self.carry(u[None])[0]     # h(u) - h(0)
-        # K(h, h_u) = h.k_u: k_u = C h_u - C_{E,:}^T W g_u, with C h_u by the FFT
+        # K(h, h_u) = h.k_u: k_u = C h_u - C_{E,:}^T W g_u
         c_h_u = np.fft.irfft(eig * np.fft.rfft(h_u), n=self.L)[cols]
         h_u = h_u[cols]
         w_g_u = self.woodbury @ (c_edge @ h_u)
