@@ -36,9 +36,8 @@ from .core import NATURAL, SI
 from .errors import ConfdecError, UndersampledSignal
 from .field import (CorrelationModel, FieldGrid, _grid_step, estimate_g1,
                     estimate_g2, odd_moment_check, sample_field)
-from .master import (GrwParams, closed_form_kernel, decoherence_factor,
-                     evolve_pure_decoherence, evolve_with_free_hamiltonian,
-                     general_kernel, grw_params)
+from .master import (GrwParams, decoherence_factor, evolve_pure_decoherence,
+                     evolve_with_free_hamiltonian, general_kernel, grw_params)
 from .montecarlo import (McParams, _check_fit_times, coherence_mc,
                          fit_decoherence_rate)
 
@@ -344,8 +343,8 @@ def cmd_kernel(params):
         for dx in params["dx_list"]:
             general = general_kernel(model, dx, t_total, params["mass"],
                                      params["a0"], constants)
-            closed = closed_form_kernel(dx, t_total, params["mass"],
-                                        params["a0"], model.tau, constants)
+            # the Gaussian's large-T closed form, -rate(dx) T; 0.0 - keeps +0.0 at dx = 0
+            closed = 0.0 - gp.rate(dx) * t_total
             if closed != 0.0:
                 rel = (general - closed) / abs(closed)
             else:
