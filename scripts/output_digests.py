@@ -5,7 +5,8 @@ Runs each CLI subcommand once (``mc`` also on a noise-dominated input that
 exits 3, and ``evolve --kinetic-mass`` on an odd and an even grid), replays it from its manifest.json, runs a ``kernel`` input that is
 refused (exit 2) and counts the files it left, and digests the Monte Carlo
 coherence records and their covariance across T of a 300-draw run at
-dx = 5 and dx = 0.25.  It also digests one ``sample_field`` draw under the
+dx = 5 and dx = 0.25 from x = 0, and at positions (-3, 2), whose windows
+shift on both sides of x = 0.  It also digests one ``sample_field`` draw under the
 key ``(7, 1)`` and the phases of 300 ``sample_phases`` draws, both streams,
 under the Monte Carlo keys ``(seed, j)``, so that a change to the key layout
 shows.  Two checkouts that print the same lines produce the same bytes; diff
@@ -57,8 +58,9 @@ REFUSED_RUNS = [
     ("kernel-refused", ["kernel", "--dx-list", "1e200", "--compare-t", "100"]),
 ]
 
-# (dx, T list) of the coherence_mc runs, 300 draws each at seed 901
-MC_RUNS = [(5.0, (100.0, 400.0)), (0.25, (25.0, 100.0))]
+# (label, positions, T list) of the coherence_mc runs, 300 draws each at seed 901
+MC_RUNS = [("dx=5", (0.0, 5.0), (100.0, 400.0)), ("dx=0.25", (0.0, 0.25), (25.0, 100.0)),
+           ("x=(-3,2)", (-3.0, 2.0), (100.0, 200.0))]
 
 
 def sha256(data: bytes) -> str:
@@ -106,13 +108,13 @@ def refused_lines():
 
 
 def mc_lines():
-    for dx, t_list in MC_RUNS:
-        params = McParams(a0=0.1, mass=1.0, tau=1.0, positions=(0.0, dx),
+    for label, positions, t_list in MC_RUNS:
+        params = McParams(a0=0.1, mass=1.0, tau=1.0, positions=positions,
                           t_list=t_list, n_samples=300, seed=901)
         est = coherence_mc(params)
         records = np.array([(r.t, r.mean.real, r.mean.imag, r.stderr, r.n_samples)
                             for r in est.records])
-        yield f"coherence_mc dx={dx:g} {sha256(records.tobytes() + est.covariance.tobytes())}"
+        yield f"coherence_mc {label} {sha256(records.tobytes() + est.covariance.tobytes())}"
 
 
 def draw_lines():

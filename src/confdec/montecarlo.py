@@ -497,8 +497,9 @@ def coherence_mc(params: McParams) -> CoherenceEstimate:
     Monte Carlo, or Rao-Blackwellization).  The mean of ``z_j`` is unbiased
     for the coherence, with a smaller variance than ``exp(i dphi)`` of the
     draws.  Each T's scorer uses the covariance of its own grid's
-    embedding; on the benchmark's grids its row agrees with the longest
-    grid's, which the prefix is drawn from, to 2.2e-16 absolute.
+    embedding; its row agrees with the longest grid's, which the prefix is
+    drawn from, to 2 eps absolute on the grids of
+    ``tests/test_montecarlo.py::test_each_scorer_covariance_matches_the_drawn_prefix``.
 
     The standard error is that of the coherence magnitude: the sample
     standard deviation of ``z_j`` along the mean direction over

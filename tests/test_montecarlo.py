@@ -387,6 +387,22 @@ GATE = dict(positions=(0.0, 5.0), t_list=(100.0, 200.0, 300.0, 400.0))
 SHORT = dict(positions=(0.0, 0.25), t_list=(25.0, 50.0, 75.0, 100.0))
 
 
+@pytest.mark.parametrize("grid", [GATE, SHORT, dict(positions=(-3.0, 2.0),
+                                                    t_list=(100.0, 200.0))],
+                         ids=["gate", "short", "off-origin"])
+def test_each_scorer_covariance_matches_the_drawn_prefix(grid):
+    # each T scores with its own grid's covariance row, while its streams are
+    # the prefix of draws on the longest grid: on its n_T nodes the two rows
+    # agree to 2 eps absolute (1.0, 1.0 and 0.64 eps here)
+    p = default_params(**grid)
+    n_max = _mc_grid(p, max(p.t_list)).n_steps
+    row_max = _embedding(p.model, p.dt_effective, n_max)[2]
+    for t in p.t_list:
+        n_t = _mc_grid(p, t).n_steps
+        row_t = _embedding(p.model, p.dt_effective, n_t)[2]
+        assert np.abs(row_t[:n_t] - row_max[:n_t]).max() <= 2.0 * np.finfo(float).eps
+
+
 def record_threads(monkeypatch) -> set:
     """The idents of the threads that draw a block of keyed draws, filled as it runs."""
     idents, draw_streams = set(), montecarlo._draw_streams

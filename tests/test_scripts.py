@@ -44,7 +44,7 @@ def test_output_digests(tmp_path):
     assert "kernel-refused exit 2 files 0" in lines
     assert sum(line.endswith("replay identical 3/3") for line in lines) == 6
     assert [line.split()[1] for line in lines if line.startswith("coherence_mc")] == [
-        "dx=5", "dx=0.25"]
+        "dx=5", "dx=0.25", "x=(-3,2)"]
     assert [line.rsplit(" ", 1)[0] for line in lines
             if line.startswith("sample_")] == ["sample_field seed=(7,1)",
                                                "sample_phases dx=1 T=16"]
