@@ -2,18 +2,19 @@
 """Print SHA-256 digests of every confdec output on small fixed inputs.
 
 Runs each CLI subcommand once (``mc`` also on a noise-dominated input that
-exits 3, and ``evolve --kinetic-mass`` on an odd and an even grid), replays it from its manifest.json, runs a ``kernel`` input that is
-refused (exit 2) and counts the files it left, and digests the Monte Carlo
-coherence records and their covariance across T of a 300-draw run at
-dx = 5 and dx = 0.25 from x = 0, and at positions (-3, 2), whose windows
-shift on both sides of x = 0.  It also digests one ``sample_field`` draw under the
-key ``(7, 1)`` and the phases of 300 ``sample_phases`` draws, both streams,
-under the Monte Carlo keys ``(seed, j)``, so that a change to the key layout
-shows.  Two checkouts that print the same lines produce the same bytes; diff
-the output of the two to check that a change leaves results unchanged.  Runs
-in a temporary directory and takes a few seconds.  Standard error names the
-Monte Carlo scoring threads and whether BLAS ran on one thread in each, which
-can explain a digest that differs between hosts.
+exits 3, and ``evolve --kinetic-mass`` on an odd and an even grid), replays
+it from its manifest.json, runs a ``kernel`` input that is refused (exit 2)
+and counts the files it left, and digests the Monte Carlo coherence records
+and their covariance across T of 300-draw runs at dx = 5 and dx = 0.25 from
+x = 0, and at positions (-3, 2), whose windows shift on both sides of x = 0.
+It also digests one ``sample_field`` draw under the key ``(7, 1)`` and the
+phases of 300 ``sample_phases`` draws, both streams, under the Monte Carlo
+keys ``(seed, j)``, so that a change to the key layout shows.  Two
+checkouts that print the same lines produce the same bytes; diff the output
+of the two to check that a change leaves results unchanged.  Runs in a
+temporary directory and takes a few seconds.  Standard error names the
+Monte Carlo scoring threads and whether BLAS ran on one thread in each,
+which can explain a digest that differs between hosts.
 """
 import contextlib
 import hashlib
