@@ -366,7 +366,7 @@ class TestBandedScorer:
         p = default_params(positions=positions, t_list=(t,))
         scorer = _ConditionalScorer(p, t)
         n = scorer.n
-        L, _amp, row, eig = _embedding(p.model, _mc_grid(p, t).dt, n)
+        L, _amp, row, eig = _embedding(p.model, p.dt_effective, n)
         nodes = np.arange(n)
         u = scorer.v @ row[np.abs(scorer.edge_m[:, None] - nodes)] / scorer.sigma2
         h_u = scorer.h_scale * scorer.carry(u[None])[0, :n]
