@@ -15,16 +15,14 @@ from .bounds import (CosmoSourceParams, CutoffModel, ExperimentParams,
                      zero_point_energy_density)
 from .core import NATURAL, SI, PhysicalConstants
 from .errors import (ConfdecError, FitDegenerate, IndefiniteCovariance,
-                     InsufficientSamples, OutOfRange, QuadratureFailure,
-                     ResolutionError, StepTooLarge, SubPlanckCutoff,
-                     UndersampledSignal)
+                     InsufficientSamples, OutOfRange, ResolutionError,
+                     StepTooLarge, SubPlanckCutoff, UndersampledSignal)
 from .field import (CorrelationEstimate, CorrelationModel, FieldGrid,
                     FieldRealization, estimate_g1, estimate_g2,
                     odd_moment_check, sample_field)
-from .master import (DensityMatrix, GrwParams, closed_form_kernel,
-                     decoherence_factor, evolve_pure_decoherence,
-                     evolve_with_free_hamiltonian, general_kernel,
-                     grw_params, superposed_gaussians)
+from .master import (DensityMatrix, GrwParams, decoherence_factor,
+                     evolve_pure_decoherence, evolve_with_free_hamiltonian,
+                     general_kernel, grw_params, superposed_gaussians)
 from .montecarlo import (CoherenceEstimate, CoherenceRecord, McParams, RateFit,
                          accumulate_phase, coherence_mc, fit_decoherence_rate,
                          sample_phases)
@@ -34,7 +32,7 @@ __all__ = [
     "ConfdecError", "ResolutionError",
     "IndefiniteCovariance", "OutOfRange",
     "InsufficientSamples", "UndersampledSignal", "FitDegenerate",
-    "QuadratureFailure", "StepTooLarge", "SubPlanckCutoff",
+    "StepTooLarge", "SubPlanckCutoff",
     "PhysicalConstants", "SI", "NATURAL",
     "CorrelationModel", "FieldGrid", "FieldRealization", "CorrelationEstimate",
     "sample_field", "estimate_g1", "estimate_g2", "odd_moment_check",
@@ -42,7 +40,7 @@ __all__ = [
     "accumulate_phase", "sample_phases", "coherence_mc", "fit_decoherence_rate",
     "GrwParams", "grw_params", "decoherence_factor", "DensityMatrix",
     "superposed_gaussians", "evolve_pure_decoherence",
-    "evolve_with_free_hamiltonian", "general_kernel", "closed_form_kernel",
+    "evolve_with_free_hamiltonian", "general_kernel",
     "CutoffModel", "build_cutoff_model", "mode_density",
     "zero_point_energy_density", "integrated_zero_point_density",
     "conformal_amplitude",

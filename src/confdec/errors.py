@@ -37,10 +37,6 @@ class FitDegenerate(ConfdecError, ValueError):
     covariance of the coherence estimates that is not positive definite."""
 
 
-class QuadratureFailure(ConfdecError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class StepTooLarge(ConfdecError):
     """Split-step halving check changed the result by more than the tolerance."""
 

@@ -303,9 +303,7 @@ def _embedding(model: CorrelationModel, dt: float, n_steps: int):
     ``ValueError`` before anything is allocated.
     """
     pad = int(math.ceil(_PAD_CORR_TIMES * model.tau / dt))
-    L = _smooth_length(n_steps + pad)
-    while L % 2:
-        L = _smooth_length(L + 1)
+    L = 2 * _smooth_length(-(-(n_steps + pad) // 2))    # the least even 5-smooth length
     _refuse_beyond_memory(L * _EMBEDDING_BYTES, f"dt = {dt!r} and n_steps = {n_steps} "
                                                  f"need an embedding of {L} points")
     k = np.arange(L)

@@ -328,12 +328,3 @@ def general_kernel(g1_model: CorrelationModel, delta_x: float, t_total: float,
     i2 = weighted(lambda s: g1_model.g1(s) ** 2, g1_model.max_lag, knots)
     pref = (mass * c**2 * a0**2 / constants.hbar) ** 2
     return pref * (i1 - 2.0 * i2)
-
-
-def closed_form_kernel(delta_x: float, t_total: float, mass: float, a0: float,
-                       tau: float, constants: PhysicalConstants = NATURAL) -> float:
-    """Large-T Gaussian-correlation limit of ``general_kernel``: ``-rate(dx) T``."""
-    if not 0 <= t_total < math.inf:
-        raise ValueError("t_total must be non-negative and finite")
-    # subtracting from 0.0 keeps the zero-separation kernel +0.0, not -0.0
-    return 0.0 - grw_params(mass, a0, tau, constants).rate(delta_x) * t_total

@@ -126,8 +126,8 @@ class McParams:
             # every T scores the same draws, so a repeat would make their
             # covariance singular
             raise ValueError(f"t_list repeats a flight time: {self.t_list}")
-        if not _is_int(self.n_samples):
-            raise ValueError(f"n_samples must be an int, got {self.n_samples!r}")
+        if not _is_int(self.n_samples) or self.n_samples < 1:
+            raise ValueError(f"n_samples must be an int of at least 1, got {self.n_samples!r}")
         if isinstance(self.seed, (tuple, list)):
             raise ValueError("seed must be a single non-negative int, not a tuple")
         _seed_entropy(self.seed)

@@ -587,8 +587,31 @@ class TestMcCommand:
         assert manifest["outputs"] == ["coherence.csv", "rate.json"]
         assert "3 stderr" in capsys.readouterr().err
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: the check's target is the second-order rate; the fit "
+        "1.99242e-3 +- 2.47e-6 against lambda = 2.00530e-3 is a pull of -5.21"))
+    def test_perturbative_cap_passes_its_rate_check(self, tmp_path, capsys):
+        # a correct engine at a0 = 0.2 fails today; when the check reads the
+        # exact rate this turns XPASS and the marker must go
+        with pytest.warns(UserWarning, match="a0 > 0.1"):
+            rc = main(["mc", "--a0", "0.2", "--n-samples", "20000",
+                       "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+
 
 class TestKernelCommand:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 5: both kernels subtract nearly equal numbers at "
+        "dx = 1e-6; relative deviation -3.3e-5 against a tolerance of 1e-6"))
+    def test_small_separation_passes_closed_form_check(self, tmp_path, capsys):
+        # a correct kernel fails today; when the rate and the general kernel
+        # are both free of the subtraction this turns XPASS and the marker must go
+        rc = main(["kernel", "--dx-list", "1e-6", "--compare-t", "1e6",
+                   "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+
     def test_defaults_pass_closed_form_checks(self, tmp_path):
         assert main(["kernel", "--out", str(tmp_path)]) == 0
         summary = io.read_json(tmp_path / "summary.json")

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confdec.errors import IndefiniteCovariance, ResolutionError
-from confdec.field import (CorrelationModel, FieldGrid, _draw_streams, _embedding,
-                           _in_threads, _smooth_length, embedding_spectrum, estimate_g1,
-                           estimate_g2, odd_moment_check, sample_field)
+from confdec.field import (_PAD_CORR_TIMES, CorrelationModel, FieldGrid,
+                           _draw_streams, _embedding, _in_threads, _smooth_length,
+                           embedding_spectrum, estimate_g1, estimate_g2,
+                           odd_moment_check, sample_field)
 
 TAU = 1.0
 DT = TAU / 8.0
@@ -157,6 +158,22 @@ class TestGrid:
                    *range(2**18, 2**18 + 2048), 10**12 + 1, 8 * 10**11 + 32768]
         assert [_smooth_length(t) for t in targets] == [next_fast_len(t, real=True)
                                                         for t in targets]
+
+    def test_embedding_length_is_the_least_even_smooth_length(self):
+        # the even 5-smooth lengths are twice the 5-smooth ones; check L
+        # against a direct search that steps a 5-smooth length up until it
+        # is even, for every n_steps up to 4096 (targets 66 to 4160)
+        def stepped(target):
+            n = _smooth_length(target)
+            while n % 2:
+                n = _smooth_length(n + 1)
+            return n
+        pad = math.ceil(_PAD_CORR_TIMES * TAU / DT)
+        model = CorrelationModel.gaussian(TAU)
+        steps = range(2, 4097)
+        # the uncached function, so the run leaves the memo as it found it
+        assert [_embedding.__wrapped__(model, DT, n)[0] for n in steps] == [
+            stepped(n + pad) for n in steps]
 
     @pytest.mark.parametrize("dt, n_steps", [
         (1e-11, 32768),     # `confdec field --dt 1e-11`: L = 805306368000

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confdec.core import NATURAL, SI
-from confdec.errors import QuadratureFailure, StepTooLarge
+from confdec.errors import StepTooLarge
 from confdec.field import CorrelationModel
 from confdec import master
-from confdec.master import (DensityMatrix, GrwParams, closed_form_kernel,
-                            decoherence_factor, evolve_pure_decoherence,
+from confdec.master import (DensityMatrix, GrwParams, decoherence_factor,
+                            evolve_pure_decoherence,
                             evolve_with_free_hamiltonian, general_kernel,
                             grw_params, superposed_gaussians)
 
@@ -438,7 +438,7 @@ class TestGeneralKernel:
     def test_edge_terms_shrink_with_t(self, dx):
         for t_total, tol in ((100.0, 0.01), (1000.0, 0.001)):
             general = general_kernel(GAUSS, dx, t_total, 1.0, 0.1)
-            closed = closed_form_kernel(dx, t_total, 1.0, 0.1, 1.0)
+            closed = 0.0 - GP.rate(dx) * t_total   # large-T limit: -rate(dx) T
             if closed == 0.0:
                 assert general == 0.0
             else:
@@ -502,7 +502,7 @@ class TestGeneralKernel:
     def test_closed_form_equals_factor_exponent(self):
         for dx in (0.0, 0.5, 2.0, 5.0):
             for t in (100.0, 400.0):
-                k = closed_form_kernel(dx, t, 1.0, 0.1, 1.0)
+                k = 0.0 - GP.rate(dx) * t
                 assert math.exp(k) == pytest.approx(
                     decoherence_factor(dx, t, GP), rel=1e-12)
 
@@ -513,6 +513,6 @@ class TestGeneralKernel:
         g_si = general_kernel(m, 0.0, 1e-4, mass, 1e-3, SI)
         assert g_si == 0.0
         g_si = general_kernel(m, 5.0 * SI.c * tau_si, 1e-3, mass, 1e-3, SI)
-        closed = closed_form_kernel(5.0 * SI.c * tau_si, 1e-3, mass, 1e-3,
-                                    tau_si, SI)
+        gp_si = grw_params(mass, 1e-3, tau_si, SI)
+        closed = 0.0 - gp_si.rate(5.0 * SI.c * tau_si) * 1e-3
         assert g_si == pytest.approx(closed, rel=2e-3)

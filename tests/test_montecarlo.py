@@ -113,6 +113,14 @@ class TestParams:
             with pytest.raises(ValueError, match="t_list repeats a flight time"):
                 default_params(t_list=t_list)
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_non_positive_sample_count_refused(self, n_samples):
+        # refused where the params are built, before sample_phases has no
+        # draws to concatenate
+        with pytest.raises(ValueError, match=f"n_samples must be an int of at least 1, "
+                                             f"got {n_samples}"):
+            default_params(n_samples=n_samples)
+
 
 def constant_realization(value_plus, value_minus, dt=0.125, k0=24, k_t=8):
     grid = FieldGrid(dt=dt, n_steps=2 * k0 + k_t + 1, t_start=-k0 * dt)

@@ -11,9 +11,9 @@ from confdec.bounds import (CosmoSourceParams, ExperimentParams, build_cutoff_mo
                             zero_point_energy_density)
 from confdec.field import (CorrelationModel, FieldGrid, FieldRealization, estimate_g1,
                            estimate_g2, sample_field)
-from confdec.master import (DensityMatrix, GrwParams, closed_form_kernel,
-                            decoherence_factor, evolve_with_free_hamiltonian,
-                            general_kernel, grw_params, superposed_gaussians)
+from confdec.master import (DensityMatrix, GrwParams, decoherence_factor,
+                            evolve_with_free_hamiltonian, general_kernel,
+                            grw_params, superposed_gaussians)
 from confdec.montecarlo import McParams, accumulate_phase
 
 
@@ -74,8 +74,6 @@ BAD_VALUE_CASES = {
         "t_total"),
     "decoherence_factor.t": (
         lambda v: decoherence_factor(1.0, v, GrwParams(1e-4, 8.0)), "t must be"),
-    "closed_form_kernel.t_total": (
-        lambda v: closed_form_kernel(1.0, v, 1.0, 0.1, 1.0), "t_total"),
     "build_cutoff_model.lambda_cut": (lambda v: build_cutoff_model(v), "lambda_cut"),
     "conformal_amplitude.mass_density": (
         lambda v: conformal_amplitude(v, 1e-13), "mass_density"),
@@ -165,9 +163,6 @@ REFUSALS = {
             tmp / "rho.json", '{"grid": {"n": 2, "dx": 1.0, "x0": 0.0}, '
                               '"entries": [[1.0, 0.0]]}')),
         "entries must hold n\\*n"),
-    "closed_form_kernel.negative_t_total": (
-        lambda tmp: closed_form_kernel(1.0, -5.0, 1.0, 0.1, 1.0),
-        "t_total must be non-negative"),
     "evolve_with_free_hamiltonian.negative_n_steps": (
         lambda tmp: evolve_with_free_hamiltonian(rho(), GrwParams(1e-4, 8.0), 1.0, 0.05, -1),
         "n_steps must be non-negative"),
@@ -213,7 +208,7 @@ def _subclasses(cls):
 EXIT_CODES = {
     errors.ResolutionError: 2, errors.IndefiniteCovariance: 2, errors.OutOfRange: 2,
     errors.InsufficientSamples: 2, errors.FitDegenerate: 2, errors.SubPlanckCutoff: 2,
-    errors.UndersampledSignal: 3, errors.QuadratureFailure: 3, errors.StepTooLarge: 3,
+    errors.UndersampledSignal: 3, errors.StepTooLarge: 3,
 }
 
 
