@@ -4,13 +4,14 @@ CSV floats are written with 17 significant digits and JSON floats as
 ``json.dump`` writes them (their shortest round-tripping ``repr``), so both
 read back as the same doubles and re-running a manifest reproduces outputs
 byte-identically; JSON objects are written with sorted keys for the same
-reason.  Tables are formatted in one ``%``-template pass; the density-matrix
-JSON writes the same bytes as the ``json`` route, in blocks of rows, with one
-``repr`` per distinct magnitude of its entries.
+reason.  Tables are formatted through a ``%``-template in blocks of rows; the
+density-matrix JSON writes the same bytes as the ``json`` route, in blocks of
+rows too, with one ``repr`` per distinct magnitude of its entries.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -21,26 +22,34 @@ import numpy as np
 from .field import FieldRealization, _is_int
 from .master import DensityMatrix
 
-_ROWS_PER_WRITE = 4096     # density-matrix JSON rows formatted per write
+_ROWS_PER_WRITE = 4096     # CSV and density-matrix JSON rows formatted per write
 
 
 def write_csv(path, header, rows):
     """Write ``header`` and then ``rows``, a sequence of row tuples or a 2-d array.
 
     The header goes through ``csv``, so a label such as ``t[s, shifted]``
-    stays quoted.  The rows go through one ``%``-template pass: a column
-    takes ``%.17g`` when its first cell is a float and ``%s`` otherwise, so
-    cells are never quoted.
+    stays quoted.  The rows go through a ``%``-template, ``_ROWS_PER_WRITE``
+    rows per pass so that the temporary strings stay small: a column takes
+    ``%.17g`` when its first cell is a float and ``%s`` otherwise, so cells
+    are never quoted.
     """
-    if isinstance(rows, np.ndarray):
-        cells, first = rows.ravel().tolist(), rows[:1].ravel().tolist()
-    else:
+    if not isinstance(rows, np.ndarray):
         rows = list(rows)
-        cells, first = [v for row in rows for v in row], rows[0] if rows else ()
-    row = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\r\n"
+    row = ",".join("%.17g" if isinstance(v, float) else "%s"
+                   for v in _cells(rows[:1])) + "\r\n"
     with Path(path).open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write(row * len(rows) % tuple(cells))
+        for start in range(0, len(rows), _ROWS_PER_WRITE):
+            block = rows[start:start + _ROWS_PER_WRITE]
+            fh.write(row * len(block) % tuple(_cells(block)))
+
+
+def _cells(block) -> list:
+    """The cells of a block of rows, row by row, as Python scalars."""
+    if isinstance(block, np.ndarray):
+        return block.ravel().tolist()
+    return [v for row in block for v in row]
 
 
 def read_table(path, columns, what: str, header: bool) -> np.ndarray:
@@ -130,7 +139,22 @@ def density_matrix_from_json(path) -> DensityMatrix:
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
                 or abs(value) >= 2**1024 or not math.isfinite(value)):
             raise ValueError(f"grid {name} must be a finite number, got {value!r}")
-    flat = np.asarray(flat, dtype=float)
+    # one pass over the pairs: numpy would read true as 1.0 and "0.5" as 0.5
+    numbers = {int, float}
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(flat)))
+    except TypeError:     # entries, or one of them, is not a list: refused below
+        kinds = numbers
+    if not kinds <= numbers:
+        bad = [(k, pair) for k, pair in enumerate(flat)
+               if not set(map(type, pair)) <= numbers]
+        raise ValueError(f"entries must be JSON numbers: {len(bad)} of the {len(flat)} "
+                         f"[re, im] pairs are not, the first entries[{bad[0][0]}] = "
+                         f"{json.dumps(bad[0][1])}")
+    try:
+        flat = np.asarray(flat, dtype=float)
+    except OverflowError as exc:   # an int beyond the float range
+        raise ValueError(f"entries must be finite numbers: {exc}") from exc
     if flat.shape != (n * n, 2):
         raise ValueError(f"entries must hold n*n [re, im] pairs in row-major order, "
                          f"with n = {n}")

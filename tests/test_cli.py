@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -7,12 +8,12 @@ import pytest
 
 from confdec import cli, io
 from confdec.bounds import (CosmoSourceParams, ExperimentParams,
-                            cosmological_feasibility)
+                            cosmological_feasibility, lambda_bound)
 from confdec.cli import main
 from confdec.core import NATURAL, SI
 from confdec.master import (DensityMatrix, GrwParams, evolve_pure_decoherence,
                             grw_params, superposed_gaussians)
-from confdec.montecarlo import McParams, RateFit, coherence_mc
+from confdec.montecarlo import McParams, RateFit, coherence_mc, fit_decoherence_rate
 
 X_GRID = np.linspace(-8.0, 8.0, 41)
 
@@ -78,6 +79,27 @@ class TestIoRoundTrips:
     def test_json_grid_spacing_rejected(self, tmp_path, grid, message, capsys):
         src = tmp_path / "rho.json"
         io.write_json(src, {"grid": {"n": 2, **grid}, "entries": [[0.5, 0.0]] * 4})
+        rc = main(["evolve", "--input", str(src), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entries, message", [
+        ([[True, False], [0, 0], [0, 0], [False, False]],
+         "2 of the 4 [re, im] pairs are not, the first entries[0] = [true, false]"),
+        ([[0.5, 0], [0, 0], [0, 0], ["0.5", 0]],
+         'entries must be JSON numbers: 1 of the 4 [re, im] pairs are not, '
+         'the first entries[3] = ["0.5", 0]'),
+        ([[0.5, 0], [0, 0], [0, 0], [0.5, 10**400]], "entries must be finite numbers"),
+    ], ids=["booleans", "numeric_string", "huge_int"])
+    def test_json_entry_not_a_number_rejected(self, tmp_path, entries, message, capsys):
+        # numpy reads true as 1.0 and "0.5" as 0.5, so the first two matrices
+        # have trace 1 and would evolve
+        src = tmp_path / "rho.json"
+        io.write_json(src, {"grid": {"n": 2, "dx": 1.0, "x0": 0.0}, "entries": entries})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            io.density_matrix_from_json(src)
         rc = main(["evolve", "--input", str(src), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -587,6 +609,21 @@ class TestMcCommand:
         assert manifest["outputs"] == ["coherence.csv", "rate.json"]
         assert "3 stderr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dx, seed", [(0.25, 2024), (1.0, 2025)])
+    def test_rate_is_the_library_fit(self, tmp_path, dx, seed):
+        # one point of the rate-against-separation sweep: rate.json holds the
+        # library's fit and closed-form rate, bit for bit
+        t_list = (25.0, 50.0, 75.0, 100.0)
+        assert main(["mc", "--dx", repr(dx), "--t-list", ",".join(map(repr, t_list)),
+                     "--n-samples", "200", "--seed", str(seed),
+                     "--out", str(tmp_path)]) == 0
+        results = io.read_json(tmp_path / "rate.json")["results"]
+        fit = fit_decoherence_rate(coherence_mc(McParams(
+            a0=0.1, mass=1.0, tau=1.0, positions=(0.0, dx), t_list=t_list,
+            n_samples=200, seed=seed)))
+        assert (results["rate"], results["rate_stderr"]) == (fit.rate, fit.stderr)
+        assert results["predicted_rate"] == grw_params(1.0, 0.1, 1.0).rate(dx)
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP item 1: the check's target is the second-order rate; the fit "
         "1.99242e-3 +- 2.47e-6 against lambda = 2.00530e-3 is a pull of -5.21"))
@@ -761,6 +798,14 @@ class TestBoundCommand:
                           skiprows=1, ndmin=2)
         assert rows.shape == (4, 4)
         assert np.all(np.diff(np.unique(rows[:, 3])) > 0)
+        # the mass x flight-time landscape: every row is the library's bound
+        masses, times = [10.0, 1e3, 1e7], [1e-3, 0.32, 10.0]
+        out = tmp_path / "landscape"
+        assert main(["bound", "--sweep-mass", ",".join(map(repr, masses)),
+                     "--sweep-time", ",".join(map(repr, times)), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows.tolist() == [[m, t, 0.03, lambda_bound(ExperimentParams(m, t, 0.03))]
+                                 for m in masses for t in times]
 
     def test_sweep_checks_the_separation(self, tmp_path, capsys):
         # the separation saturates the kernel at the main bound (132.9 amu,
